@@ -133,6 +133,7 @@ MetricsRegistry::Entry* MetricsRegistry::GetOrCreate(std::string_view name,
       entry.histogram.reset(new Histogram());
       break;
     case Entry::Kind::kCallbackGauge:
+    case Entry::Kind::kCallbackCounter:
       break;
   }
   return &entries_.emplace(std::string(name), std::move(entry))
@@ -164,6 +165,13 @@ void MetricsRegistry::RegisterCallbackGauge(std::string_view name,
   if (entry != nullptr) entry->callback = std::move(fn);
 }
 
+void MetricsRegistry::RegisterCallbackCounter(std::string_view name,
+                                              std::string_view help,
+                                              std::function<uint64_t()> fn) {
+  Entry* entry = GetOrCreate(name, help, Entry::Kind::kCallbackCounter);
+  if (entry != nullptr) entry->counter_callback = std::move(fn);
+}
+
 namespace {
 
 void AppendF(std::string* out, const char* fmt, ...) {
@@ -189,6 +197,11 @@ std::string MetricsRegistry::DumpPrometheus() const {
         out += "# TYPE " + name + " counter\n";
         AppendF(&out, "%s %" PRIu64 "\n", name.c_str(),
                 entry.counter->value());
+        break;
+      case Entry::Kind::kCallbackCounter:
+        out += "# TYPE " + name + " counter\n";
+        AppendF(&out, "%s %" PRIu64 "\n", name.c_str(),
+                entry.counter_callback ? entry.counter_callback() : 0);
         break;
       case Entry::Kind::kGauge:
         out += "# TYPE " + name + " gauge\n";
@@ -233,6 +246,11 @@ std::string MetricsRegistry::DumpJson() const {
         if (!counters.empty()) counters += ",";
         AppendF(&counters, "\"%s\":%" PRIu64, name.c_str(),
                 entry.counter->value());
+        break;
+      case Entry::Kind::kCallbackCounter:
+        if (!counters.empty()) counters += ",";
+        AppendF(&counters, "\"%s\":%" PRIu64, name.c_str(),
+                entry.counter_callback ? entry.counter_callback() : 0);
         break;
       case Entry::Kind::kGauge:
         if (!gauges.empty()) gauges += ",";

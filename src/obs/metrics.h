@@ -129,6 +129,11 @@ class MetricsRegistry {
   /// valid for the registry's lifetime and be safe from any thread.
   void RegisterCallbackGauge(std::string_view name, std::string_view help,
                              std::function<int64_t()> fn);
+  /// Counter-typed sibling of RegisterCallbackGauge: a monotonic count
+  /// that another component already keeps (cache hits, documents
+  /// ingested), read through at dump time and exported as a counter.
+  void RegisterCallbackCounter(std::string_view name, std::string_view help,
+                               std::function<uint64_t()> fn);
 
   /// Prometheus text exposition format, version 0.0.4: `# HELP` / `# TYPE`
   /// headers, counter/gauge samples, and histograms as cumulative
@@ -150,13 +155,20 @@ class MetricsRegistry {
 
  private:
   struct Entry {
-    enum class Kind { kCounter, kGauge, kHistogram, kCallbackGauge };
+    enum class Kind {
+      kCounter,
+      kGauge,
+      kHistogram,
+      kCallbackGauge,
+      kCallbackCounter
+    };
     Kind kind;
     std::string help;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
     std::function<int64_t()> callback;
+    std::function<uint64_t()> counter_callback;
   };
 
   Entry* GetOrCreate(std::string_view name, std::string_view help,

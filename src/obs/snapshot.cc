@@ -128,6 +128,10 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
       case Entry::Kind::kCounter:
         snap.counters[name] = entry.counter->value();
         break;
+      case Entry::Kind::kCallbackCounter:
+        snap.counters[name] =
+            entry.counter_callback ? entry.counter_callback() : 0;
+        break;
       case Entry::Kind::kGauge:
         snap.gauges[name] = entry.gauge->value();
         break;

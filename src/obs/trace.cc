@@ -142,14 +142,6 @@ SpanTimer::~SpanTimer() {
   context_->AddSpan(std::move(span_));
 }
 
-void SpanTimer::set_counters(uint64_t elements, uint64_t page_fetches,
-                             uint64_t page_misses, uint64_t io_reads) {
-  span_.elements = elements;
-  span_.page_fetches = page_fetches;
-  span_.page_misses = page_misses;
-  span_.io_reads = io_reads;
-}
-
 // ----------------------------------------------------------------- ring ---
 
 void TraceRing::Push(std::shared_ptr<const Trace> trace) {

@@ -130,7 +130,12 @@ class SpanTimer {
   void set_note(std::string note) { span_.note = std::move(note); }
   /// Attributes counter deltas to this stage.
   void set_counters(uint64_t elements, uint64_t page_fetches,
-                    uint64_t page_misses, uint64_t io_reads);
+                    uint64_t page_misses, uint64_t io_reads) {
+    span_.elements = elements;
+    span_.page_fetches = page_fetches;
+    span_.page_misses = page_misses;
+    span_.io_reads = io_reads;
+  }
 
  private:
   TraceContext* context_;

@@ -1,9 +1,6 @@
 #include "service/query_service.h"
 
-#include <algorithm>
-#include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
+#include <type_traits>
 #include <utility>
 
 #include "common/stopwatch.h"
@@ -22,102 +19,80 @@ Status WrongBackend(const char* wanted) {
       "; use the matching constructor");
 }
 
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) out->append(buf, static_cast<size_t>(std::min<int>(
-                                  n, static_cast<int>(sizeof(buf)) - 1)));
+/// Attributes the counters `now` gained over `base` to a trace span.
+void SetSpanCounters(obs::SpanTimer* span, const ExecStats& now,
+                     const ExecStats& base = {}) {
+  span->set_counters(now.elements - base.elements,
+                     now.page_fetches - base.page_fetches,
+                     now.page_misses - base.page_misses,
+                     now.io_reads - base.io_reads);
+}
+
+/// Plan-cache lookup shared by both caches (span "plan_cache", noted hit
+/// or miss). Sets `key` only when the request may use the cache: it is
+/// the key a freshly built entry is put under.
+template <typename V>
+std::shared_ptr<const V> LookUp(internal::LruCache<V>& cache,
+                                const QueryRequest& request,
+                                obs::TraceContext* trace, std::string* key) {
+  if (request.bypass_plan_cache || cache.capacity() == 0) return nullptr;
+  *key = PlanCacheKey(request.xpath, request.options.translator,
+                      request.options.exec.optimize_join_order);
+  obs::SpanTimer span(trace, "plan_cache");
+  std::shared_ptr<const V> hit = cache.Get(*key);
+  if (trace != nullptr) span.set_note(hit != nullptr ? "hit" : "miss");
+  return hit;
 }
 
 }  // namespace
 
+/// One query from its start to its accounting in Complete(): the request,
+/// its wall clock, and its trace (installed on this thread for the
+/// flight's lifetime).
+struct QueryService::Flight {
+  Flight(QueryService* service, const QueryRequest& request)
+      : request(request),
+        trace(service->MaybeStartTrace(request)),
+        scope(trace.get()) {}
+
+  const QueryRequest& request;
+  Stopwatch watch;
+  std::shared_ptr<obs::TraceContext> trace;
+  obs::TraceContext::Scope scope;
+  /// Live collections: the epoch the cursor pinned at open.
+  uint64_t epoch_at_open = 0;
+};
+
 QueryService::QueryService(const BlasSystem* system,
                            const ServiceOptions& options)
-    : system_(system),
-      plan_cache_(options.plan_cache_capacity),
-      collection_plan_cache_(options.plan_cache_capacity),
-      scatter_queue_capacity_(options.scatter_queue_capacity),
-      pool_(options.worker_threads, options.queue_capacity),
-      trace_ring_(options.trace_ring_capacity),
-      slow_query_log_(options.slow_query_millis,
-                      options.slow_query_log_capacity),
-      trace_sample_every_(options.trace_sample_every) {
-  InitMetrics();
-}
+    : QueryService(nullptr, system, nullptr, nullptr, options) {}
 
 QueryService::QueryService(std::shared_ptr<const BlasSystem> system,
                            const ServiceOptions& options)
-    : owned_system_(std::move(system)),
-      system_(owned_system_.get()),
-      plan_cache_(options.plan_cache_capacity),
-      collection_plan_cache_(options.plan_cache_capacity),
-      scatter_queue_capacity_(options.scatter_queue_capacity),
-      pool_(options.worker_threads, options.queue_capacity),
-      trace_ring_(options.trace_ring_capacity),
-      slow_query_log_(options.slow_query_millis,
-                      options.slow_query_log_capacity),
-      trace_sample_every_(options.trace_sample_every) {
-  InitMetrics();
-}
+    : QueryService(system, system.get(), nullptr, nullptr, options) {}
 
 QueryService::QueryService(const BlasCollection* collection,
                            const ServiceOptions& options)
-    : collection_(collection),
-      plan_cache_(options.plan_cache_capacity),
-      collection_plan_cache_(options.plan_cache_capacity),
-      scatter_queue_capacity_(options.scatter_queue_capacity),
-      pool_(options.worker_threads, options.queue_capacity),
-      trace_ring_(options.trace_ring_capacity),
-      slow_query_log_(options.slow_query_millis,
-                      options.slow_query_log_capacity),
-      trace_sample_every_(options.trace_sample_every) {
-  InitMetrics();
-}
+    : QueryService(nullptr, nullptr, collection, nullptr, options) {}
 
 QueryService::QueryService(LiveCollection* live, const ServiceOptions& options)
-    : live_(live),
+    : QueryService(nullptr, nullptr, nullptr, live, options) {}
+
+QueryService::QueryService(std::shared_ptr<const BlasSystem> owned_system,
+                           const BlasSystem* system,
+                           const BlasCollection* collection,
+                           LiveCollection* live, const ServiceOptions& options)
+    : owned_system_(std::move(owned_system)),
+      system_(system),
+      collection_(collection),
+      live_(live),
       plan_cache_(options.plan_cache_capacity),
       collection_plan_cache_(options.plan_cache_capacity),
-      scatter_queue_capacity_(options.scatter_queue_capacity),
       pool_(options.worker_threads, options.queue_capacity),
       trace_ring_(options.trace_ring_capacity),
       slow_query_log_(options.slow_query_millis,
                       options.slow_query_log_capacity),
       trace_sample_every_(options.trace_sample_every) {
-  InitMetrics();
-  // The queue needs the pool; the pool initializes after it (see the
-  // member-order note in the header), so wire it up in the body.
-  ingest_ = std::make_unique<IngestQueue>(live_, &pool_);
-  // Epoch tags already make stale per-document plans unservable; the
-  // listener reclaims their memory eagerly and keeps the cache honest.
-  live_->SetChangeListener(
-      [this](const std::string& name, ManifestOp::Kind kind, uint64_t) {
-        if (kind != ManifestOp::Kind::kAdd) {
-          collection_plan_cache_.InvalidateDocument(name);
-        }
-      });
-}
-
-Result<std::unique_ptr<QueryService>> QueryService::FromXml(
-    std::string_view xml, const BlasOptions& blas_options,
-    const ServiceOptions& options) {
-  BLAS_ASSIGN_OR_RETURN(BlasSystem sys, BlasSystem::FromXml(xml, blas_options));
-  auto shared = std::make_shared<const BlasSystem>(std::move(sys));
-  return std::make_unique<QueryService>(std::move(shared), options);
-}
-
-QueryService::~QueryService() {
-  Shutdown();
-  // The listener captures `this`; the collection outlives the service.
-  if (live_ != nullptr) live_->SetChangeListener(nullptr);
-}
-
-void QueryService::Shutdown() { pool_.Shutdown(); }
-
-void QueryService::InitMetrics() {
   query_latency_ns_ = metrics_.GetHistogram(
       "blas_query_latency_ns",
       "Wall time of completed single-document queries");
@@ -135,28 +110,86 @@ void QueryService::InitMetrics() {
       "blas_stage_execute_ns",
       "Cursor open (engine execution / streaming prefix)");
   metrics_.RegisterCallbackGauge(
-      "blas_queries_completed", "Queries run to completion by the service",
-      [this] {
-        return static_cast<int64_t>(
-            completed_.load(std::memory_order_relaxed));
-      });
-  metrics_.RegisterCallbackGauge(
-      "blas_queries_failed", "Queries that failed to parse/translate/execute",
-      [this] {
-        return static_cast<int64_t>(failed_.load(std::memory_order_relaxed));
-      });
-  metrics_.RegisterCallbackGauge(
       "blas_plan_cache_hit_percent",
       "Plan-cache hit ratio over the service's lifetime, in percent",
       [this] {
-        PlanCache::Stats cache = plan_cache_.stats();
-        CollectionPlanCache::Stats coll = collection_plan_cache_.stats();
-        uint64_t hits = cache.hits + coll.hits;
-        uint64_t total = hits + cache.misses + coll.misses;
+        PlanCache::Stats cache = PlanCacheTotals();
+        uint64_t total = cache.hits + cache.misses;
         return total == 0 ? int64_t{0}
-                          : static_cast<int64_t>(hits * 100 / total);
+                          : static_cast<int64_t>(cache.hits * 100 / total);
+      });
+
+  // Every ServiceStats field is a registry counter: the ones the service
+  // keeps itself, then the ones read through from their owners.
+  auto counter = [this](const char* field, const char* help) {
+    return metrics_.GetCounter(std::string("blas_service_") + field, help);
+  };
+  submitted_ = counter("submitted", "Queries submitted");
+  completed_ = counter("completed", "Queries run to completion");
+  failed_ = counter("failed", "Queries failed in parse, translate or execute");
+  rejected_ = counter("rejected", "Submissions refused after Shutdown");
+  cursors_opened_ = counter("cursors_opened", "Cursors handed to clients");
+  cancelled_ = counter("cancelled", "Streams cancelled by their callback");
+  doc_plan_hits_ = counter("doc_plan_hits", "Per-document plan-cache hits");
+  doc_plan_misses_ =
+      counter("doc_plan_misses", "Per-document plan-cache misses");
+  churn_queries_ = counter("queries_served_during_churn",
+                           "Collection queries that overlapped a publish");
+  docs_executed_ =
+      counter("docs_executed", "Documents run by collection queries");
+  docs_cancelled_ = counter("docs_cancelled",
+                            "Documents cancelled while queued (limit spent)");
+  elements_ = counter("exec_elements", "Elements read by completed queries");
+  page_fetches_ = counter("exec_page_fetches", "Page fetches");
+  page_misses_ = counter("exec_page_misses", "Page-cache misses");
+  io_reads_ = counter("exec_io_reads", "Disk reads");
+  d_joins_ = counter("exec_d_joins", "D-joins executed");
+  intermediate_rows_ =
+      counter("exec_intermediate_rows", "Intermediate rows produced");
+  output_rows_ = counter("exec_output_rows", "Output rows produced");
+  offset_skipped_ =
+      counter("exec_offset_skipped", "Matches consumed by offset");
+  auto read_through = [this](const char* field, const char* help,
+                             std::function<uint64_t()> fn) {
+    metrics_.RegisterCallbackCounter(std::string("blas_service_") + field,
+                                     help, std::move(fn));
+  };
+  read_through("plan_cache_hits", "Plan-cache hits",
+               [this] { return PlanCacheTotals().hits; });
+  read_through("plan_cache_misses", "Plan-cache misses",
+               [this] { return PlanCacheTotals().misses; });
+  read_through("plan_cache_evictions", "Plan-cache evictions",
+               [this] { return PlanCacheTotals().evictions; });
+  read_through("docs_ingested", "Documents published by the live collection",
+               [this] { return LiveStats().docs_ingested; });
+  read_through("docs_removed", "Documents removed from the live collection",
+               [this] { return LiveStats().docs_removed; });
+  read_through("epochs_published", "Live-collection epoch publishes",
+               [this] { return LiveStats().epochs_published; });
+  read_through("manifest_bytes", "Durable manifest size in bytes",
+               [this] { return LiveStats().manifest_bytes; });
+
+  if (live_ == nullptr) return;
+  // The queue needs the pool; the pool initializes after it (see the
+  // member-order note in the header), so wire it up in the body.
+  ingest_ = std::make_unique<IngestQueue>(live_, &pool_);
+  // Epoch tags already make stale per-document plans unservable; the
+  // listener reclaims their memory eagerly and keeps the cache honest.
+  live_->SetChangeListener(
+      [this](const std::string& name, ManifestOp::Kind kind, uint64_t) {
+        if (kind != ManifestOp::Kind::kAdd) {
+          collection_plan_cache_.InvalidateDocument(name);
+        }
       });
 }
+
+QueryService::~QueryService() {
+  Shutdown();
+  // The listener captures `this`; the collection outlives the service.
+  if (live_ != nullptr) live_->SetChangeListener(nullptr);
+}
+
+void QueryService::Shutdown() { pool_.Shutdown(); }
 
 std::shared_ptr<obs::TraceContext> QueryService::MaybeStartTrace(
     const QueryRequest& request) {
@@ -170,14 +203,200 @@ std::shared_ptr<obs::TraceContext> QueryService::MaybeStartTrace(
   return std::make_shared<obs::TraceContext>(NormalizeXPath(request.xpath));
 }
 
-std::shared_ptr<const obs::Trace> QueryService::FinishQueryObs(
-    const QueryRequest& request, double millis, obs::Histogram* latency,
-    const ExecStats& stats, uint64_t output_rows, const char* engine,
-    obs::TraceContext* trace) {
+// ------------------------------------------------------------ front half ---
+
+Result<Query> QueryService::Parse(std::string_view xpath,
+                                  obs::TraceContext* trace) {
+  obs::SpanTimer span(trace, "parse");
+  Stopwatch timer;
+  Result<Query> query = ParseXPath(xpath);
+  stage_parse_ns_->Record(timer.ElapsedNanos());
+  return query;
+}
+
+Result<std::shared_ptr<const CachedPlan>> QueryService::BuildPlan(
+    const BlasSystem& sys, const Query& query, const QueryOptions& options,
+    bool cached, obs::TraceContext* trace) {
+  CachedPlan fresh;
+  {
+    obs::SpanTimer span(trace, "translate");
+    if (trace != nullptr) span.set_note(TranslatorName(options.translator));
+    Stopwatch timer;
+    Result<ExecPlan> planned = sys.Plan(query, options.translator);
+    stage_translate_ns_->Record(timer.ElapsedNanos());
+    if (!planned.ok()) return std::move(planned).status();
+    fresh.plan = std::move(planned).value();
+  }
+  obs::SpanTimer span(trace, "optimize");
+  Stopwatch timer;
+  CostModel model(&sys.summary(), &sys.dict());
+  if (options.exec.optimize_join_order) {
+    fresh.plan = OptimizeJoinOrder(fresh.plan, model);
+  }
+  // Both verdicts walk the path summary per part: an uncached plan skips
+  // the one this request cannot use (pinned engine, unbounded request).
+  if (cached || options.engine == Engine::kAuto) {
+    fresh.auto_engine = ChooseEngine(fresh.plan, model);
+  }
+  if (cached || options.limit > 0) {
+    fresh.stream_info = sys.AnalyzeStreamability(fresh.plan);
+  }
+  stage_optimize_ns_->Record(timer.ElapsedNanos());
+  return std::make_shared<const CachedPlan>(std::move(fresh));
+}
+
+Result<ResultCursor> QueryService::OpenCachedPlan(
+    const BlasSystem& sys, std::shared_ptr<const CachedPlan> plan,
+    const QueryOptions& options, obs::TraceContext* trace) {
+  const Engine engine =
+      options.engine == Engine::kAuto ? plan->auto_engine : options.engine;
+  // Alias the cached entry so the plan outlives any eviction while this
+  // cursor is still streaming.
+  std::shared_ptr<const ExecPlan> shared_plan(plan, &plan->plan);
+  obs::SpanTimer span(trace, "execute");
+  if (trace != nullptr) span.set_note(EngineName(engine));
+  Stopwatch timer;
+  Result<ResultCursor> cursor = sys.OpenPlan(std::move(shared_plan), engine,
+                                             options, &plan->stream_info);
+  stage_execute_ns_->Record(timer.ElapsedNanos());
+  // Open runs the engine (or the streaming prefix); attribute the
+  // counters it accumulated to this stage.
+  if (cursor.ok()) SetSpanCounters(&span, cursor->stats());
+  return cursor;
+}
+
+template <>
+Result<ResultCursor> QueryService::Open<ResultCursor>(
+    const QueryRequest& request,
+    const std::shared_ptr<obs::TraceContext>& trace,
+    uint64_t* /*epoch_at_open*/) {
+  if (system_ == nullptr) return WrongBackend("single document");
+  std::string key;
+  std::shared_ptr<const CachedPlan> plan =
+      LookUp(plan_cache_, request, trace.get(), &key);
+  if (plan == nullptr) {
+    BLAS_ASSIGN_OR_RETURN(Query query, Parse(request.xpath, trace.get()));
+    BLAS_ASSIGN_OR_RETURN(plan, BuildPlan(*system_, query, request.options,
+                                          !key.empty(), trace.get()));
+    if (!key.empty()) plan_cache_.Put(key, plan);
+  }
+  return OpenCachedPlan(*system_, std::move(plan), request.options,
+                        trace.get());
+}
+
+template <>
+Result<CollectionCursor> QueryService::Open<CollectionCursor>(
+    const QueryRequest& request,
+    const std::shared_ptr<obs::TraceContext>& trace,
+    uint64_t* epoch_at_open) {
+  if (collection_ == nullptr && live_ == nullptr) {
+    return WrongBackend("collection");
+  }
+  // A live service pins the epoch current right now; the cursor drains
+  // exactly this generation no matter what publishes meanwhile (each
+  // per-document producer holds its document via shared_ptr).
+  std::shared_ptr<const CollectionState> state =
+      live_ != nullptr ? live_->Snapshot() : nullptr;
+  const BlasCollection* collection =
+      state != nullptr ? &state->collection : collection_;
+  if (epoch_at_open != nullptr) {
+    *epoch_at_open = state != nullptr ? state->epoch : 0;
+  }
+  std::string key;
+  std::shared_ptr<const CachedCollectionPlan> entry =
+      LookUp(collection_plan_cache_, request, trace.get(), &key);
+  if (entry == nullptr) {
+    BLAS_ASSIGN_OR_RETURN(Query query, Parse(request.xpath, trace.get()));
+    entry = std::make_shared<const CachedCollectionPlan>(std::move(query));
+    if (!key.empty()) collection_plan_cache_.Put(key, entry);
+  }
+
+  // Per-document opener: the scatter workers consult the cached
+  // per-document plans and build (then publish) one on first touch.
+  // Plans are tagged with the document's last-changed epoch, so a
+  // replaced document can never serve its predecessor's plan (static
+  // collections tag everything 0).
+  BlasCollection::DocCursorOpener opener =
+      [this, entry, state, trace, cached = !key.empty()](
+          const std::string& name, const BlasSystem& sys, const Query& query,
+          const QueryOptions& doc_options) -> Result<ResultCursor> {
+    // The opener runs on scatter workers: install the trace context so
+    // this document's page reads attribute to the query, and record the
+    // open (plan build + engine run) as one span named for the document;
+    // its stages record their histograms but no spans of their own.
+    obs::TraceContext::Scope trace_scope(trace.get());
+    obs::SpanTimer span(trace.get(), "open_doc");
+    if (trace != nullptr) span.set_note(name);
+    uint64_t doc_epoch = 0;
+    if (state != nullptr) {
+      auto it = state->doc_epochs.find(name);
+      if (it != state->doc_epochs.end()) doc_epoch = it->second;
+    }
+    std::shared_ptr<const CachedPlan> plan = entry->ForDoc(name, doc_epoch);
+    if (plan != nullptr) {
+      doc_plan_hits_->Increment();
+    } else {
+      doc_plan_misses_->Increment();
+      BLAS_ASSIGN_OR_RETURN(
+          plan, BuildPlan(sys, query, doc_options, cached, nullptr));
+      entry->PutDoc(name, doc_epoch, plan);
+    }
+    Result<ResultCursor> cursor =
+        OpenCachedPlan(sys, std::move(plan), doc_options, nullptr);
+    if (cursor.ok()) SetSpanCounters(&span, cursor->stats());
+    return cursor;
+  };
+
+  obs::SpanTimer span(trace.get(), "open_scatter");
+  return collection->OpenCursor(entry->query(), request.options,
+                                ScatterOptions{.pool = &pool_},
+                                std::move(opener));
+}
+
+// ------------------------------------------------------------- back half ---
+
+template <typename Cursor>
+std::shared_ptr<const obs::Trace> QueryService::Complete(
+    const Flight& flight, const Cursor& cursor, const ExecStats& stats,
+    uint64_t output_rows, bool cancelled) {
+  if (cancelled) {
+    // An abandoned scan's truncated stats would skew the
+    // per-completed-query roll-up.
+    cancelled_->Increment();
+    return nullptr;
+  }
+  completed_->Increment();
+  elements_->Add(stats.elements);
+  page_fetches_->Add(stats.page_fetches);
+  page_misses_->Add(stats.page_misses);
+  io_reads_->Add(stats.io_reads);
+  d_joins_->Add(stats.d_joins);
+  intermediate_rows_->Add(stats.intermediate_rows);
+  output_rows_->Add(stats.output_rows);
+  offset_skipped_->Add(cursor.offset_skipped());
+  const QueryRequest& request = flight.request;
+  const char* engine;
+  obs::Histogram* latency;
+  if constexpr (std::is_same_v<Cursor, CollectionCursor>) {
+    const CollectionCursor::ScatterStats scatter = cursor.scatter_stats();
+    docs_executed_->Add(scatter.docs_executed);
+    docs_cancelled_->Add(scatter.docs_cancelled);
+    // The epoch it pinned was superseded by the time it drained.
+    if (live_ != nullptr && live_->epoch() != flight.epoch_at_open) {
+      churn_queries_->Increment();
+    }
+    engine = EngineName(request.options.engine);
+    latency = collection_latency_ns_;
+  } else {
+    engine = EngineName(cursor.engine());
+    latency = query_latency_ns_;
+  }
+
+  const double millis = flight.watch.ElapsedMillis();
   latency->Record(static_cast<uint64_t>(millis * 1e6));
   std::shared_ptr<const obs::Trace> sealed;
-  if (trace != nullptr) {
-    sealed = trace->Finish();
+  if (flight.trace != nullptr) {
+    sealed = flight.trace->Finish();
     trace_ring_.Push(sealed);
   }
   if (slow_query_log_.enabled() &&
@@ -198,15 +417,105 @@ std::shared_ptr<const obs::Trace> QueryService::FinishQueryObs(
   return sealed;
 }
 
+Status QueryService::Failed(Status status) {
+  failed_->Increment();
+  return status;
+}
+
+Result<QueryResult> QueryService::Run(const QueryRequest& request) {
+  Flight flight(this, request);
+  Result<ResultCursor> cursor =
+      Open<ResultCursor>(request, flight.trace, nullptr);
+  if (!cursor.ok()) return Failed(std::move(cursor).status());
+  const ExecStats open_stats = cursor->stats();
+  QueryResult result;
+  {
+    obs::SpanTimer span(flight.trace.get(), "drain");
+    result = cursor->Drain();
+    SetSpanCounters(&span, result.stats, open_stats);
+  }
+  result.trace =
+      Complete(flight, *cursor, result.stats, result.stats.output_rows);
+  return result;
+}
+
+Result<BlasCollection::CollectionResult> QueryService::RunCollection(
+    const QueryRequest& request) {
+  Flight flight(this, request);
+  Result<CollectionCursor> cursor =
+      Open<CollectionCursor>(request, flight.trace, &flight.epoch_at_open);
+  if (!cursor.ok()) return Failed(std::move(cursor).status());
+  Result<BlasCollection::CollectionResult> result = [&] {
+    obs::SpanTimer span(flight.trace.get(), "merge");
+    Result<BlasCollection::CollectionResult> drained = cursor->Drain();
+    if (drained.ok()) SetSpanCounters(&span, drained->stats);
+    return drained;
+  }();
+  if (!result.ok()) return Failed(std::move(result).status());
+  Complete(flight, *cursor, result->stats, result->total_matches);
+  return result;
+}
+
+template <typename Cursor, typename Callback>
+Result<StreamSummary> QueryService::Stream(const QueryRequest& request,
+                                           const Callback& on_match) {
+  constexpr bool kCollection = std::is_same_v<Cursor, CollectionCursor>;
+  Flight flight(this, request);
+  Result<Cursor> cursor =
+      Open<Cursor>(request, flight.trace, &flight.epoch_at_open);
+  if (!cursor.ok()) return Failed(std::move(cursor).status());
+  StreamSummary summary;
+  {
+    // A single document's counters so far belong to the execute span; a
+    // collection's merge span carries everything its documents read.
+    ExecStats base;
+    if constexpr (!kCollection) base = cursor->stats();
+    obs::SpanTimer span(flight.trace.get(), kCollection ? "merge" : "stream");
+    while (auto match = cursor->Next()) {
+      ++summary.delivered;
+      if (!on_match(*match)) {
+        summary.cancelled = true;
+        break;
+      }
+    }
+    if constexpr (kCollection) {
+      if (!cursor->status().ok()) return Failed(cursor->status());
+      summary.stats = cursor->SettledStats();
+      summary.millis = flight.watch.ElapsedMillis();
+    } else {
+      summary.stats = cursor->stats();
+      summary.shape = cursor->shape();
+      summary.millis = cursor->millis();
+    }
+    SetSpanCounters(&span, summary.stats, base);
+  }
+  Complete(flight, *cursor, summary.stats, summary.delivered,
+           summary.cancelled);
+  return summary;
+}
+
+template <typename Cursor>
+Result<Cursor> QueryService::HandOut(const QueryRequest& request) {
+  // The cursor escapes the service and executes on the client's thread,
+  // so it is tallied as an opened cursor, not a completed query, and its
+  // ExecStats stay out of the exec roll-up.
+  Result<Cursor> cursor = Open<Cursor>(request, nullptr, nullptr);
+  if (!cursor.ok()) return Failed(std::move(cursor).status());
+  cursors_opened_->Increment();
+  return cursor;
+}
+
+// ----------------------------------------------------------- front door ---
+
 template <typename T>
 std::future<Result<T>> QueryService::SubmitTask(
     std::function<Result<T>()> work) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
+  submitted_->Increment();
   auto task = std::make_shared<std::packaged_task<Result<T>()>>(
       std::move(work));
   std::future<Result<T>> future = task->get_future();
   if (!pool_.Submit([task] { (*task)(); })) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
+    rejected_->Increment();
     std::promise<Result<T>> refused;
     refused.set_value(Status::Unsupported("service is shut down"));
     return refused.get_future();
@@ -222,59 +531,15 @@ std::future<Result<QueryResult>> QueryService::Submit(QueryRequest request) {
 std::future<Result<StreamSummary>> QueryService::Submit(
     QueryRequest request, MatchCallback on_match) {
   return SubmitTask<StreamSummary>(
-      [this, request = std::move(request),
-       on_match = std::move(on_match)]() -> Result<StreamSummary> {
-        Stopwatch watch;
-        std::shared_ptr<obs::TraceContext> trace = MaybeStartTrace(request);
-        obs::TraceContext::Scope scope(trace.get());
-        Result<ResultCursor> cursor = MakeCursor(request, trace.get());
-        if (!cursor.ok()) {
-          failed_.fetch_add(1, std::memory_order_relaxed);
-          return std::move(cursor).status();
-        }
-        const ExecStats open_stats = cursor->stats();
-        StreamSummary summary;
-        {
-          obs::SpanTimer span(trace.get(), "stream");
-          while (std::optional<Match> match = cursor->Next()) {
-            ++summary.delivered;
-            if (!on_match(*match)) {
-              summary.cancelled = true;
-              break;
-            }
-          }
-          summary.stats = cursor->stats();
-          if (trace != nullptr) {
-            span.set_counters(
-                summary.stats.elements - open_stats.elements,
-                summary.stats.page_fetches - open_stats.page_fetches,
-                summary.stats.page_misses - open_stats.page_misses,
-                summary.stats.io_reads - open_stats.io_reads);
-          }
-        }
-        summary.shape = cursor->shape();
-        summary.millis = cursor->millis();
-        if (summary.cancelled) {
-          // An abandoned scan's truncated stats would skew the
-          // per-completed-query roll-up.
-          cancelled_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          completed_.fetch_add(1, std::memory_order_relaxed);
-          RollUp(summary.stats);
-          offset_skipped_.fetch_add(cursor->offset_skipped(),
-                                    std::memory_order_relaxed);
-          FinishQueryObs(request, watch.ElapsedMillis(), query_latency_ns_,
-                         summary.stats, summary.delivered,
-                         EngineName(cursor->engine()), trace.get());
-        }
-        return summary;
+      [this, request = std::move(request), on_match = std::move(on_match)]() {
+        return Stream<ResultCursor>(request, on_match);
       });
 }
 
 std::future<Result<ResultCursor>> QueryService::SubmitCursor(
     QueryRequest request) {
   return SubmitTask<ResultCursor>([this, request = std::move(request)]() {
-    return RunOpenCursor(request);
+    return HandOut<ResultCursor>(request);
   });
 }
 
@@ -289,265 +554,8 @@ std::vector<std::future<Result<QueryResult>>> QueryService::SubmitBatch(
 }
 
 Result<QueryResult> QueryService::Execute(const QueryRequest& request) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
+  submitted_->Increment();
   return Run(request);
-}
-
-Result<ResultCursor> QueryService::OpenCursor(const QueryRequest& request) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  return RunOpenCursor(request);
-}
-
-Result<ResultCursor> QueryService::RunOpenCursor(const QueryRequest& request) {
-  // The cursor escapes the service and executes on the client's thread,
-  // so it is tallied as an opened cursor, not a completed query, and its
-  // ExecStats stay out of the exec roll-up.
-  Result<ResultCursor> cursor = MakeCursor(request);
-  if (cursor.ok()) {
-    cursors_opened_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return cursor;
-}
-
-Result<ResultCursor> QueryService::MakeCursor(const QueryRequest& request,
-                                              obs::TraceContext* trace) {
-  if (system_ == nullptr) return WrongBackend("single document");
-  std::shared_ptr<const CachedPlan> plan;
-  std::string key;
-  const QueryOptions& options = request.options;
-  const bool use_cache =
-      !request.bypass_plan_cache && plan_cache_.capacity() > 0;
-  if (use_cache) {
-    key = PlanCacheKey(request.xpath, options.translator,
-                       options.exec.optimize_join_order);
-    obs::SpanTimer span(trace, "plan_cache");
-    plan = plan_cache_.Get(key);
-    if (trace != nullptr) span.set_note(plan != nullptr ? "hit" : "miss");
-  }
-  if (plan == nullptr) {
-    Query parsed;
-    {
-      obs::SpanTimer span(trace, "parse");
-      Stopwatch timer;
-      Result<Query> query = ParseXPath(request.xpath);
-      stage_parse_ns_->Record(timer.ElapsedNanos());
-      if (!query.ok()) return std::move(query).status();
-      parsed = std::move(query).value();
-    }
-    CachedPlan fresh;
-    {
-      obs::SpanTimer span(trace, "translate");
-      if (trace != nullptr) span.set_note(TranslatorName(options.translator));
-      Stopwatch timer;
-      Result<ExecPlan> planned = system_->Plan(parsed, options.translator);
-      stage_translate_ns_->Record(timer.ElapsedNanos());
-      if (!planned.ok()) return std::move(planned).status();
-      fresh.plan = std::move(planned).value();
-    }
-    {
-      obs::SpanTimer span(trace, "optimize");
-      Stopwatch timer;
-      CostModel model(&system_->summary(), &system_->dict());
-      if (options.exec.optimize_join_order) {
-        fresh.plan = OptimizeJoinOrder(fresh.plan, model);
-      }
-      if (use_cache || options.engine == Engine::kAuto) {
-        // Skippable when the engine is pinned and the plan won't be cached
-        // (cardinality estimation walks the path summary per part).
-        fresh.auto_engine = ChooseEngine(fresh.plan, model);
-      }
-      if (use_cache || options.limit > 0) {
-        // Same reasoning as auto_engine: skip the summary walks when the
-        // verdict can neither be cached nor used (unbounded request).
-        fresh.stream_info = system_->AnalyzeStreamability(fresh.plan);
-      }
-      stage_optimize_ns_->Record(timer.ElapsedNanos());
-    }
-    plan = std::make_shared<const CachedPlan>(std::move(fresh));
-    if (use_cache) plan_cache_.Put(key, plan);
-  }
-
-  Engine engine =
-      options.engine == Engine::kAuto ? plan->auto_engine : options.engine;
-  // Alias the cached entry so the plan outlives any eviction while this
-  // cursor is still streaming.
-  std::shared_ptr<const ExecPlan> shared_plan(plan, &plan->plan);
-  obs::SpanTimer span(trace, "execute");
-  if (trace != nullptr) span.set_note(EngineName(engine));
-  Stopwatch timer;
-  Result<ResultCursor> cursor = system_->OpenPlan(
-      std::move(shared_plan), engine, options, &plan->stream_info);
-  stage_execute_ns_->Record(timer.ElapsedNanos());
-  if (trace != nullptr && cursor.ok()) {
-    // Open runs the engine (or the streaming prefix); attribute the
-    // counters it accumulated to this stage.
-    const ExecStats& s = cursor->stats();
-    span.set_counters(s.elements, s.page_fetches, s.page_misses, s.io_reads);
-  }
-  return cursor;
-}
-
-Result<CollectionCursor> QueryService::MakeCollectionCursor(
-    const QueryRequest& request, uint64_t* epoch_at_open,
-    std::shared_ptr<obs::TraceContext> trace) {
-  if (collection_ == nullptr && live_ == nullptr) {
-    return WrongBackend("collection");
-  }
-  // A live service pins the epoch current right now; the cursor drains
-  // exactly this generation no matter what publishes meanwhile (each
-  // per-document producer holds its document via shared_ptr).
-  std::shared_ptr<const CollectionState> state =
-      live_ != nullptr ? live_->Snapshot() : nullptr;
-  const BlasCollection* collection =
-      state != nullptr ? &state->collection : collection_;
-  if (epoch_at_open != nullptr) {
-    *epoch_at_open = state != nullptr ? state->epoch : 0;
-  }
-  const QueryOptions& options = request.options;
-  const bool use_cache =
-      !request.bypass_plan_cache && collection_plan_cache_.capacity() > 0;
-  std::shared_ptr<const CachedCollectionPlan> entry;
-  std::string key;
-  if (use_cache) {
-    key = PlanCacheKey(request.xpath, options.translator,
-                       options.exec.optimize_join_order);
-    obs::SpanTimer span(trace.get(), "plan_cache");
-    entry = collection_plan_cache_.Get(key);
-    if (trace != nullptr) span.set_note(entry != nullptr ? "hit" : "miss");
-  }
-  if (entry == nullptr) {
-    obs::SpanTimer span(trace.get(), "parse");
-    Stopwatch timer;
-    Result<Query> parsed = ParseXPath(request.xpath);
-    stage_parse_ns_->Record(timer.ElapsedNanos());
-    if (!parsed.ok()) return std::move(parsed).status();
-    entry = std::make_shared<const CachedCollectionPlan>(
-        std::move(parsed).value());
-    if (use_cache) collection_plan_cache_.Put(key, entry);
-  }
-
-  // Per-document opener: the scatter workers consult the cached
-  // per-document plans and translate (then publish) on first touch.
-  // Plans are tagged with the document's last-changed epoch, so a
-  // replaced document can never serve its predecessor's plan (static
-  // collections tag everything 0).
-  BlasCollection::DocCursorOpener opener =
-      [this, entry, state, trace](const std::string& name,
-                                  const BlasSystem& sys, const Query& query,
-                                  const QueryOptions& doc_options)
-      -> Result<ResultCursor> {
-    // The opener runs on scatter workers: install the trace context so
-    // this document's page reads attribute to the query, and record the
-    // open (translate + engine run) as one span named for the document.
-    obs::TraceContext::Scope trace_scope(trace.get());
-    obs::SpanTimer span(trace.get(), "open_doc");
-    if (trace != nullptr) span.set_note(name);
-    uint64_t doc_epoch = 0;
-    if (state != nullptr) {
-      auto it = state->doc_epochs.find(name);
-      if (it != state->doc_epochs.end()) doc_epoch = it->second;
-    }
-    std::shared_ptr<const CachedPlan> plan = entry->ForDoc(name, doc_epoch);
-    if (plan == nullptr) {
-      doc_plan_misses_.fetch_add(1, std::memory_order_relaxed);
-      Stopwatch timer;
-      Result<ExecPlan> planned = sys.Plan(query, doc_options.translator);
-      stage_translate_ns_->Record(timer.ElapsedNanos());
-      if (!planned.ok()) return std::move(planned).status();
-      CachedPlan fresh;
-      fresh.plan = std::move(planned).value();
-      CostModel model(&sys.summary(), &sys.dict());
-      if (doc_options.exec.optimize_join_order) {
-        fresh.plan = OptimizeJoinOrder(fresh.plan, model);
-      }
-      fresh.auto_engine = ChooseEngine(fresh.plan, model);
-      fresh.stream_info = sys.AnalyzeStreamability(fresh.plan);
-      plan = std::make_shared<const CachedPlan>(std::move(fresh));
-      entry->PutDoc(name, doc_epoch, plan);
-    } else {
-      doc_plan_hits_.fetch_add(1, std::memory_order_relaxed);
-    }
-    Engine engine = doc_options.engine == Engine::kAuto ? plan->auto_engine
-                                                        : doc_options.engine;
-    std::shared_ptr<const ExecPlan> shared_plan(plan, &plan->plan);
-    Result<ResultCursor> cursor = sys.OpenPlan(
-        std::move(shared_plan), engine, doc_options, &plan->stream_info);
-    if (trace != nullptr && cursor.ok()) {
-      const ExecStats& s = cursor->stats();
-      span.set_counters(s.elements, s.page_fetches, s.page_misses,
-                        s.io_reads);
-    }
-    return cursor;
-  };
-
-  BlasCollection::ScatterOptions scatter;
-  scatter.pool = &pool_;
-  scatter.queue_capacity = scatter_queue_capacity_;
-  obs::SpanTimer span(trace.get(), "open_scatter");
-  return collection->OpenCursor(entry->query(), options, scatter,
-                                std::move(opener));
-}
-
-void QueryService::CountChurnOverlap(uint64_t epoch_at_open) {
-  if (live_ != nullptr && live_->epoch() != epoch_at_open) {
-    churn_queries_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-Result<BlasCollection::CollectionResult> QueryService::RunCollection(
-    const QueryRequest& request) {
-  Stopwatch watch;
-  std::shared_ptr<obs::TraceContext> trace = MaybeStartTrace(request);
-  obs::TraceContext::Scope scope(trace.get());
-  uint64_t epoch_at_open = 0;
-  Result<CollectionCursor> cursor =
-      MakeCollectionCursor(request, &epoch_at_open, trace);
-  if (!cursor.ok()) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    return std::move(cursor).status();
-  }
-  Result<BlasCollection::CollectionResult> result = [&] {
-    obs::SpanTimer span(trace.get(), "merge");
-    Result<BlasCollection::CollectionResult> drained = cursor->Drain();
-    if (trace != nullptr && drained.ok()) {
-      span.set_counters(drained->stats.elements, drained->stats.page_fetches,
-                        drained->stats.page_misses, drained->stats.io_reads);
-    }
-    return drained;
-  }();
-  if (!result.ok()) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    return result;
-  }
-  completed_.fetch_add(1, std::memory_order_relaxed);
-  RollUp(result->stats);
-  offset_skipped_.fetch_add(result->offset_skipped,
-                            std::memory_order_relaxed);
-  CollectionCursor::ScatterStats scatter = cursor->scatter_stats();
-  docs_executed_.fetch_add(scatter.docs_executed, std::memory_order_relaxed);
-  docs_cancelled_.fetch_add(scatter.docs_cancelled,
-                            std::memory_order_relaxed);
-  CountChurnOverlap(epoch_at_open);
-  FinishQueryObs(request, watch.ElapsedMillis(), collection_latency_ns_,
-                 result->stats, result->total_matches,
-                 EngineName(request.options.engine), trace.get());
-  return result;
-}
-
-Result<CollectionCursor> QueryService::RunOpenCollectionCursor(
-    const QueryRequest& request) {
-  // Same accounting stance as RunOpenCursor: the merge runs on the
-  // client's thread, so this counts as an opened cursor, not a
-  // completed query.
-  Result<CollectionCursor> cursor = MakeCollectionCursor(request);
-  if (cursor.ok()) {
-    cursors_opened_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return cursor;
 }
 
 std::future<Result<BlasCollection::CollectionResult>>
@@ -559,73 +567,22 @@ QueryService::SubmitCollection(QueryRequest request) {
 std::future<Result<StreamSummary>> QueryService::SubmitCollection(
     QueryRequest request, CollectionMatchCallback on_match) {
   return SubmitTask<StreamSummary>(
-      [this, request = std::move(request),
-       on_match = std::move(on_match)]() -> Result<StreamSummary> {
-        Stopwatch watch;
-        std::shared_ptr<obs::TraceContext> trace = MaybeStartTrace(request);
-        obs::TraceContext::Scope scope(trace.get());
-        uint64_t epoch_at_open = 0;
-        Result<CollectionCursor> cursor =
-            MakeCollectionCursor(request, &epoch_at_open, trace);
-        if (!cursor.ok()) {
-          failed_.fetch_add(1, std::memory_order_relaxed);
-          return std::move(cursor).status();
-        }
-        StreamSummary summary;
-        {
-          obs::SpanTimer span(trace.get(), "merge");
-          while (std::optional<CollectionMatch> match = cursor->Next()) {
-            ++summary.delivered;
-            if (!on_match(*match)) {
-              summary.cancelled = true;
-              break;
-            }
-          }
-        }
-        if (!cursor->status().ok()) {
-          failed_.fetch_add(1, std::memory_order_relaxed);
-          return cursor->status();
-        }
-        summary.stats = cursor->SettledStats();
-        summary.millis = watch.ElapsedMillis();
-        if (summary.cancelled) {
-          cancelled_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          completed_.fetch_add(1, std::memory_order_relaxed);
-          RollUp(summary.stats);
-          offset_skipped_.fetch_add(cursor->offset_skipped(),
-                                    std::memory_order_relaxed);
-          CollectionCursor::ScatterStats scatter = cursor->scatter_stats();
-          docs_executed_.fetch_add(scatter.docs_executed,
-                                   std::memory_order_relaxed);
-          docs_cancelled_.fetch_add(scatter.docs_cancelled,
-                                    std::memory_order_relaxed);
-          CountChurnOverlap(epoch_at_open);
-          FinishQueryObs(request, summary.millis, collection_latency_ns_,
-                         summary.stats, summary.delivered,
-                         EngineName(request.options.engine), trace.get());
-        }
-        return summary;
+      [this, request = std::move(request), on_match = std::move(on_match)]() {
+        return Stream<CollectionCursor>(request, on_match);
       });
 }
 
 std::future<Result<CollectionCursor>> QueryService::SubmitCollectionCursor(
     QueryRequest request) {
   return SubmitTask<CollectionCursor>([this, request = std::move(request)]() {
-    return RunOpenCollectionCursor(request);
+    return HandOut<CollectionCursor>(request);
   });
 }
 
 Result<BlasCollection::CollectionResult> QueryService::ExecuteCollection(
     const QueryRequest& request) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
+  submitted_->Increment();
   return RunCollection(request);
-}
-
-Result<CollectionCursor> QueryService::OpenCollectionCursor(
-    const QueryRequest& request) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  return RunOpenCollectionCursor(request);
 }
 
 // ------------------------------------------------------- admin (live) ---
@@ -669,162 +626,69 @@ void QueryService::DrainIngest() {
   if (ingest_ != nullptr) ingest_->Drain();
 }
 
-void QueryService::RollUp(const ExecStats& stats) {
-  elements_.fetch_add(stats.elements, std::memory_order_relaxed);
-  page_fetches_.fetch_add(stats.page_fetches, std::memory_order_relaxed);
-  page_misses_.fetch_add(stats.page_misses, std::memory_order_relaxed);
-  io_reads_.fetch_add(stats.io_reads, std::memory_order_relaxed);
-  d_joins_.fetch_add(stats.d_joins, std::memory_order_relaxed);
-  intermediate_rows_.fetch_add(stats.intermediate_rows,
-                               std::memory_order_relaxed);
-  output_rows_.fetch_add(stats.output_rows, std::memory_order_relaxed);
+// ---------------------------------------------------------------- stats ---
+
+PlanCache::Stats QueryService::PlanCacheTotals() const {
+  // Only one of the two caches sees traffic (the service fronts either a
+  // system or a collection); summing keeps the report uniform.
+  PlanCache::Stats cache = plan_cache_.stats();
+  CollectionPlanCache::Stats coll = collection_plan_cache_.stats();
+  cache.hits += coll.hits;
+  cache.misses += coll.misses;
+  cache.insertions += coll.insertions;
+  cache.evictions += coll.evictions;
+  return cache;
 }
 
-Result<QueryResult> QueryService::Run(const QueryRequest& request) {
-  Stopwatch watch;
-  std::shared_ptr<obs::TraceContext> trace = MaybeStartTrace(request);
-  obs::TraceContext::Scope scope(trace.get());
-  Result<ResultCursor> cursor = MakeCursor(request, trace.get());
-  if (!cursor.ok()) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    return std::move(cursor).status();
-  }
-  const ExecStats open_stats = cursor->stats();
-  QueryResult result;
-  {
-    obs::SpanTimer span(trace.get(), "drain");
-    result = cursor->Drain();
-    if (trace != nullptr) {
-      span.set_counters(result.stats.elements - open_stats.elements,
-                        result.stats.page_fetches - open_stats.page_fetches,
-                        result.stats.page_misses - open_stats.page_misses,
-                        result.stats.io_reads - open_stats.io_reads);
-    }
-  }
-  completed_.fetch_add(1, std::memory_order_relaxed);
-  RollUp(result.stats);
-  offset_skipped_.fetch_add(result.offset_skipped, std::memory_order_relaxed);
-  result.trace = FinishQueryObs(
-      request, watch.ElapsedMillis(), query_latency_ns_, result.stats,
-      result.stats.output_rows, EngineName(cursor->engine()), trace.get());
-  return result;
+LiveCollection::Stats QueryService::LiveStats() const {
+  return live_ != nullptr ? live_->stats() : LiveCollection::Stats{};
 }
 
 ServiceStats QueryService::stats() const {
   ServiceStats s;
-  s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.completed = completed_.load(std::memory_order_relaxed);
-  s.failed = failed_.load(std::memory_order_relaxed);
-  s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.cursors_opened = cursors_opened_.load(std::memory_order_relaxed);
-  s.cancelled = cancelled_.load(std::memory_order_relaxed);
-  // Only one of the two caches sees traffic (the service fronts either a
-  // system or a collection); summing keeps the report uniform.
-  PlanCache::Stats cache = plan_cache_.stats();
-  CollectionPlanCache::Stats coll_cache = collection_plan_cache_.stats();
-  s.plan_cache_hits = cache.hits + coll_cache.hits;
-  s.plan_cache_misses = cache.misses + coll_cache.misses;
-  s.plan_cache_evictions = cache.evictions + coll_cache.evictions;
-  s.doc_plan_hits = doc_plan_hits_.load(std::memory_order_relaxed);
-  s.doc_plan_misses = doc_plan_misses_.load(std::memory_order_relaxed);
-  s.queries_served_during_churn =
-      churn_queries_.load(std::memory_order_relaxed);
-  s.docs_executed = docs_executed_.load(std::memory_order_relaxed);
-  s.docs_cancelled = docs_cancelled_.load(std::memory_order_relaxed);
-  if (live_ != nullptr) {
-    LiveCollection::Stats live = live_->stats();
-    s.docs_ingested = live.docs_ingested;
-    s.docs_removed = live.docs_removed;
-    s.epochs_published = live.epochs_published;
-    s.manifest_bytes = live.manifest_bytes;
-  }
-  s.exec.elements = elements_.load(std::memory_order_relaxed);
-  s.exec.page_fetches = page_fetches_.load(std::memory_order_relaxed);
-  s.exec.page_misses = page_misses_.load(std::memory_order_relaxed);
-  s.exec.io_reads = io_reads_.load(std::memory_order_relaxed);
-  s.exec.d_joins = d_joins_.load(std::memory_order_relaxed);
-  s.exec.intermediate_rows =
-      intermediate_rows_.load(std::memory_order_relaxed);
-  s.exec.output_rows = output_rows_.load(std::memory_order_relaxed);
-  s.exec.offset_skipped = offset_skipped_.load(std::memory_order_relaxed);
+  s.submitted = submitted_->value();
+  s.completed = completed_->value();
+  s.failed = failed_->value();
+  s.rejected = rejected_->value();
+  s.cursors_opened = cursors_opened_->value();
+  s.cancelled = cancelled_->value();
+  const PlanCache::Stats cache = PlanCacheTotals();
+  s.plan_cache_hits = cache.hits;
+  s.plan_cache_misses = cache.misses;
+  s.plan_cache_evictions = cache.evictions;
+  s.doc_plan_hits = doc_plan_hits_->value();
+  s.doc_plan_misses = doc_plan_misses_->value();
+  const LiveCollection::Stats live = LiveStats();
+  s.docs_ingested = live.docs_ingested;
+  s.docs_removed = live.docs_removed;
+  s.epochs_published = live.epochs_published;
+  s.manifest_bytes = live.manifest_bytes;
+  s.queries_served_during_churn = churn_queries_->value();
+  s.docs_executed = docs_executed_->value();
+  s.docs_cancelled = docs_cancelled_->value();
+  s.exec.elements = elements_->value();
+  s.exec.page_fetches = page_fetches_->value();
+  s.exec.page_misses = page_misses_->value();
+  s.exec.io_reads = io_reads_->value();
+  s.exec.d_joins = d_joins_->value();
+  s.exec.intermediate_rows = intermediate_rows_->value();
+  s.exec.output_rows = output_rows_->value();
+  s.exec.offset_skipped = offset_skipped_->value();
   return s;
 }
 
-namespace {
-
-/// (name, value) pairs of every ServiceStats field — the single source
-/// both exporters walk, so JSON and Prometheus can never disagree on
-/// coverage.
-std::vector<std::pair<const char*, uint64_t>> ServiceStatsFields(
-    const ServiceStats& s) {
-  return {
-      {"submitted", s.submitted},
-      {"completed", s.completed},
-      {"failed", s.failed},
-      {"rejected", s.rejected},
-      {"cursors_opened", s.cursors_opened},
-      {"cancelled", s.cancelled},
-      {"plan_cache_hits", s.plan_cache_hits},
-      {"plan_cache_misses", s.plan_cache_misses},
-      {"plan_cache_evictions", s.plan_cache_evictions},
-      {"doc_plan_hits", s.doc_plan_hits},
-      {"doc_plan_misses", s.doc_plan_misses},
-      {"docs_ingested", s.docs_ingested},
-      {"docs_removed", s.docs_removed},
-      {"epochs_published", s.epochs_published},
-      {"manifest_bytes", s.manifest_bytes},
-      {"queries_served_during_churn", s.queries_served_during_churn},
-      {"docs_executed", s.docs_executed},
-      {"docs_cancelled", s.docs_cancelled},
-      {"exec_elements", s.exec.elements},
-      {"exec_page_fetches", s.exec.page_fetches},
-      {"exec_page_misses", s.exec.page_misses},
-      {"exec_io_reads", s.exec.io_reads},
-      {"exec_d_joins", s.exec.d_joins},
-      {"exec_intermediate_rows", s.exec.intermediate_rows},
-      {"exec_output_rows", s.exec.output_rows},
-      {"exec_offset_skipped", s.exec.offset_skipped},
-  };
-}
-
-}  // namespace
-
 std::string QueryService::Statsz() const {
-  ServiceStats s = stats();
-  std::string out = "{\"service\":{";
-  bool first = true;
-  for (const auto& [name, value] : ServiceStatsFields(s)) {
-    AppendF(&out, "%s\"%s\":%" PRIu64, first ? "" : ",", name, value);
-    first = false;
-  }
-  out += "},\"metrics\":";
-  out += metrics_.DumpJson();
-  out += ",\"process\":";
-  out += obs::DefaultRegistry().DumpJson();
-  out += "}";
-  return out;
+  return "{\"service\":" + metrics_.DumpJson() +
+         ",\"process\":" + obs::DefaultRegistry().DumpJson() + "}";
 }
 
 std::string QueryService::StatszPrometheus() const {
-  ServiceStats s = stats();
-  std::string out;
-  for (const auto& [name, value] : ServiceStatsFields(s)) {
-    AppendF(&out, "# TYPE blas_service_%s counter\nblas_service_%s %" PRIu64
-                  "\n",
-            name, name, value);
-  }
-  out += metrics_.DumpPrometheus();
-  out += obs::DefaultRegistry().DumpPrometheus();
-  return out;
+  return metrics_.DumpPrometheus() + obs::DefaultRegistry().DumpPrometheus();
 }
 
 obs::MetricsSnapshot QueryService::SnapshotMetrics() const {
   obs::MetricsSnapshot snapshot = metrics_.Snapshot();
   snapshot.Merge(obs::DefaultRegistry().Snapshot());
-  const ServiceStats s = stats();
-  for (const auto& [name, value] : ServiceStatsFields(s)) {
-    snapshot.counters[std::string("blas_service_") + name] = value;
-  }
   return snapshot;
 }
 

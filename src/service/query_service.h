@@ -29,9 +29,6 @@ struct ServiceOptions {
   size_t queue_capacity = 1024;
   /// LRU entries of the plan cache. 0 disables caching entirely.
   size_t plan_cache_capacity = 256;
-  /// Bounded per-document match queue of collection scatter-gather
-  /// cursors (see BlasCollection::ScatterOptions::queue_capacity).
-  size_t scatter_queue_capacity = 256;
   /// Trace every Nth completed query in addition to explicit
   /// QueryOptions::trace requests (1 = every query, 0 = explicit only).
   /// Finished traces land in recent_traces().
@@ -65,25 +62,28 @@ struct StreamSummary {
   bool cancelled = false;
 };
 
-/// Service-wide counters. Values are monotonically increasing since
-/// construction; `stats()` returns a consistent-enough snapshot (each
-/// field is read atomically, the set is not fenced).
+/// Service-wide counters, monotonically increasing since construction.
+/// Every field is a counter in the service's metric registry, named
+/// `blas_service_<field>` (`blas_service_exec_<field>` for the roll-up),
+/// so Statsz(), StatszPrometheus() and SnapshotMetrics() export exactly
+/// what `stats()` returns. `stats()` is a consistent-enough view of those
+/// counters (each is read atomically, the set is not fenced).
 struct ServiceStats {
   uint64_t submitted = 0;
   uint64_t completed = 0;  // queries run to completion by the service
   uint64_t failed = 0;     // parse/translate/execute errors
   uint64_t rejected = 0;   // submissions refused after Shutdown
-  /// Cursors handed out via SubmitCursor/OpenCursor. Counted separately
-  /// from `completed`: an escaped cursor executes on the client's thread,
-  /// so its ExecStats never enter the `exec` roll-up below and must not
-  /// dilute per-completed-query averages.
+  /// Cursors handed out via SubmitCursor/SubmitCollectionCursor. Counted
+  /// separately from `completed`: an escaped cursor executes on the
+  /// client's thread, so its ExecStats never enter the `exec` roll-up
+  /// below and must not dilute per-completed-query averages.
   uint64_t cursors_opened = 0;
   /// Streaming submissions whose callback cancelled mid-stream. Counted
   /// separately from `completed` for the same reason: their truncated
   /// ExecStats stay out of the exec roll-up.
   uint64_t cancelled = 0;
-  // Plan-cache accounting (mirrors PlanCache::stats(); for a
-  // collection-backed service these come from the collection plan cache).
+  // Plan-cache accounting, read through from the two plan caches (only
+  // the one matching the service's constructor sees traffic).
   uint64_t plan_cache_hits = 0;
   uint64_t plan_cache_misses = 0;
   uint64_t plan_cache_evictions = 0;
@@ -94,7 +94,8 @@ struct ServiceStats {
   /// counts as a miss — stale plans are structurally unservable.
   uint64_t doc_plan_hits = 0;
   uint64_t doc_plan_misses = 0;
-  // Churn counters (live-collection services; all 0 otherwise).
+  // Churn counters, read through from the live collection
+  // (live-collection services; all 0 otherwise).
   /// Documents published by SubmitAdd/ReplaceDocument — or by anything
   /// else driving the same LiveCollection.
   uint64_t docs_ingested = 0;
@@ -134,14 +135,20 @@ struct ServiceStats {
 /// \brief Concurrent query front door over one indexed document or a
 /// whole document collection.
 ///
-/// Owns (or borrows) a BlasSystem — or borrows a BlasCollection — and
-/// serves XPath queries from many clients at once: requests enter a
-/// bounded queue, a fixed pool of workers translates and executes them
-/// against the shared read path (safe for concurrent readers), and
-/// results come back through futures. Repeat queries hit an LRU plan
-/// cache keyed by normalized query text and skip the whole
+/// Owns (or borrows) a BlasSystem — or borrows a BlasCollection or a
+/// LiveCollection — and serves XPath queries from many clients at once:
+/// requests enter a bounded queue, a fixed pool of workers translates and
+/// executes them against the shared read path (safe for concurrent
+/// readers), and results come back through futures. Repeat queries hit an
+/// LRU plan cache keyed by normalized query text and skip the whole
 /// parse/decompose/translate/optimize pipeline; collection entries cache
 /// the parsed query once plus one translated plan per document.
+///
+/// Both kinds of source run the same front half: one plan build (Plan ->
+/// OptimizeJoinOrder -> ChooseEngine -> AnalyzeStreamability), one plan
+/// open (engine resolution, OpenPlan) and one completion hook that does
+/// every completed query's accounting. A collection query runs the plan
+/// build and open once per document on the scatter workers.
 ///
 /// Collection submissions scatter per-document cursors across the same
 /// worker pool and gather them through a merge cursor (see
@@ -176,11 +183,6 @@ class QueryService {
   /// invalidation) — don't overwrite it while the service is alive.
   explicit QueryService(LiveCollection* live,
                         const ServiceOptions& options = {});
-  /// Builds the system from XML text and owns it.
-  static Result<std::unique_ptr<QueryService>> FromXml(
-      std::string_view xml, const BlasOptions& blas_options = {},
-      const ServiceOptions& options = {});
-
   ~QueryService();
 
   QueryService(const QueryService&) = delete;
@@ -221,9 +223,6 @@ class QueryService {
   /// Runs one query on the calling thread (same plan cache and stats).
   Result<QueryResult> Execute(const QueryRequest& request);
 
-  /// Opens a cursor on the calling thread (same plan cache and stats).
-  Result<ResultCursor> OpenCursor(const QueryRequest& request);
-
   // ------------------------------------------ collection front door ---
   // These require the collection constructor; on a single-document
   // service they fail with InvalidArgument (and vice versa for the
@@ -251,9 +250,6 @@ class QueryService {
   Result<BlasCollection::CollectionResult> ExecuteCollection(
       const QueryRequest& request);
 
-  /// Opens a scatter-gather cursor on the calling thread.
-  Result<CollectionCursor> OpenCollectionCursor(const QueryRequest& request);
-
   // --------------------------------------------------- admin (live) ---
   // Document mutations on a live-collection service. Each runs the full
   // ingestion pipeline (parse -> label -> paged snapshot -> durable
@@ -276,25 +272,25 @@ class QueryService {
 
   // ---------------------------------------------------- observability ---
 
-  /// Machine-readable status page: one JSON object with the ServiceStats
-  /// counters ("service"), this service's metric registry ("metrics" —
-  /// query/stage latency histograms with percentiles) and the
-  /// process-wide registry ("process" — storage + ingest metrics).
+  /// Machine-readable status page, one JSON object:
+  /// {"service":<this service's registry>,"process":<process registry>}.
+  /// The service registry holds every ServiceStats counter
+  /// (`blas_service_*`) and the query/stage latency histograms with
+  /// percentiles; the process registry holds storage and ingest metrics.
   std::string Statsz() const;
 
-  /// Prometheus text exposition (format 0.0.4) of the same three groups;
-  /// ServiceStats counters are exported as `blas_service_*`.
+  /// Prometheus text exposition (format 0.0.4) of the same two registries.
   std::string StatszPrometheus() const;
 
-  /// Cumulative snapshot of the same three groups for the windowed layer
-  /// (obs/snapshot.h): this service's registry merged with the process
-  /// registry, plus every ServiceStats counter as `blas_service_*`. This
-  /// is the capture callback a MetricsSnapshotter should ring — two of
-  /// these subtract into an exact per-window view.
+  /// Cumulative snapshot of the same two registries, merged, for the
+  /// windowed layer (obs/snapshot.h). This is the capture callback a
+  /// MetricsSnapshotter should ring — two of these subtract into an exact
+  /// per-window view.
   obs::MetricsSnapshot SnapshotMetrics() const;
 
-  /// This service's metric registry (query latency, per-stage latency,
-  /// plan-cache gauges). Stable pointers; safe to read concurrently.
+  /// This service's metric registry (ServiceStats counters, query and
+  /// per-stage latency, plan-cache gauge). Stable pointers; safe to read
+  /// concurrently.
   const obs::MetricsRegistry& metrics() const { return metrics_; }
   obs::MetricsRegistry& metrics() { return metrics_; }
 
@@ -308,59 +304,81 @@ class QueryService {
   const obs::SlowQueryLog& slow_query_log() const { return slow_query_log_; }
 
   const PlanCache& plan_cache() const { return plan_cache_; }
-  const CollectionPlanCache& collection_plan_cache() const {
-    return collection_plan_cache_;
-  }
-  /// Non-null only for the single-document constructors.
-  const BlasSystem* system() const { return system_; }
-  /// Non-null only for the collection constructor.
-  const BlasCollection* collection() const { return collection_; }
-  /// Non-null only for the live-collection constructor.
-  LiveCollection* live() const { return live_; }
   size_t worker_threads() const { return pool_.thread_count(); }
 
  private:
+  /// One query from its start to its accounting (query_service.cc).
+  struct Flight;
+
+  /// The constructor the public ones delegate to: exactly one of
+  /// `system`, `collection` and `live` is non-null.
+  QueryService(std::shared_ptr<const BlasSystem> owned_system,
+               const BlasSystem* system, const BlasCollection* collection,
+               LiveCollection* live, const ServiceOptions& options);
+
+  /// Parse stage (span "parse", blas_stage_parse_ns).
+  Result<Query> Parse(std::string_view xpath, obs::TraceContext* trace);
+  /// The plan build every source runs: Plan -> OptimizeJoinOrder ->
+  /// ChooseEngine -> AnalyzeStreamability, recording the translate and
+  /// optimize stages. `cached` means the plan will serve later requests,
+  /// so both plan verdicts are computed even when this one needs neither.
+  Result<std::shared_ptr<const CachedPlan>> BuildPlan(
+      const BlasSystem& sys, const Query& query, const QueryOptions& options,
+      bool cached, obs::TraceContext* trace);
+  /// The plan open every source runs: resolves Engine::kAuto, opens the
+  /// cursor over an alias of the cached plan and records the execute
+  /// stage.
+  Result<ResultCursor> OpenCachedPlan(const BlasSystem& sys,
+                                      std::shared_ptr<const CachedPlan> plan,
+                                      const QueryOptions& options,
+                                      obs::TraceContext* trace);
+  /// Opens a ResultCursor (single document) or a CollectionCursor: plan
+  /// cache, parse, then the plan build and open above — once for a single
+  /// document, once per document on the scatter workers for a collection.
+  /// A live service opens over the pinned current snapshot and reports
+  /// its epoch through `epoch_at_open` (optional). With a non-null
+  /// `trace` each stage records a span; a collection's per-document work
+  /// records one "open_doc" span per document instead.
+  template <typename Cursor>
+  Result<Cursor> Open(const QueryRequest& request,
+                      const std::shared_ptr<obs::TraceContext>& trace,
+                      uint64_t* epoch_at_open);
+
   Result<QueryResult> Run(const QueryRequest& request);
-  /// OpenCursor without the submission count (SubmitCursor counts in
-  /// SubmitTask).
-  Result<ResultCursor> RunOpenCursor(const QueryRequest& request);
-  /// Shared front half of every single-document path: plan-cache lookup /
-  /// translation, engine resolution, cursor creation. With a non-null
-  /// `trace` each stage (plan_cache / parse / translate / optimize /
-  /// execute) records a span.
-  Result<ResultCursor> MakeCursor(const QueryRequest& request,
-                                  obs::TraceContext* trace = nullptr);
-  /// Collection counterpart: collection plan-cache lookup (parsed query +
-  /// per-document plans), scatter-gather cursor creation over the pool.
-  /// On a live service the cursor is opened over the pinned current
-  /// snapshot; `epoch_at_open` (optional) receives its epoch. `trace` is
-  /// shared because the per-document opener reports spans from scatter
-  /// workers that may outlive this call's frame.
-  Result<CollectionCursor> MakeCollectionCursor(
-      const QueryRequest& request, uint64_t* epoch_at_open = nullptr,
-      std::shared_ptr<obs::TraceContext> trace = nullptr);
-  /// Counts a completed live-collection query that overlapped a publish.
-  void CountChurnOverlap(uint64_t epoch_at_open);
   Result<BlasCollection::CollectionResult> RunCollection(
       const QueryRequest& request);
-  Result<CollectionCursor> RunOpenCollectionCursor(
-      const QueryRequest& request);
-  void RollUp(const ExecStats& stats);
+  /// The stream loop of both streaming Submit flavors.
+  template <typename Cursor, typename Callback>
+  Result<StreamSummary> Stream(const QueryRequest& request,
+                               const Callback& on_match);
+  /// Opens a cursor for the client to pull on its own thread.
+  template <typename Cursor>
+  Result<Cursor> HandOut(const QueryRequest& request);
 
-  /// Registers this service's metrics (latency histograms, plan-cache
-  /// gauges). Called from every constructor.
-  void InitMetrics();
+  /// Completion hook of every query that ran to its end: counts a
+  /// cancelled stream as `cancelled`; otherwise counts it `completed`,
+  /// rolls its ExecStats (and a collection's scatter and churn
+  /// accounting) up, records its latency, seals and rings its trace and
+  /// feeds the slow-query log. Returns the sealed trace (null when
+  /// untraced or cancelled).
+  template <typename Cursor>
+  std::shared_ptr<const obs::Trace> Complete(const Flight& flight,
+                                             const Cursor& cursor,
+                                             const ExecStats& stats,
+                                             uint64_t output_rows,
+                                             bool cancelled = false);
+  /// Counts a failed query and passes its status on.
+  Status Failed(Status status);
+
   /// A new trace context when this query is traced (explicit
   /// QueryOptions::trace or every-Nth sampling); null otherwise.
   std::shared_ptr<obs::TraceContext> MaybeStartTrace(
       const QueryRequest& request);
-  /// Completion hook of every non-cancelled query: records the latency
-  /// histogram, seals + rings the trace (when any) and feeds the
-  /// slow-query log. Returns the sealed trace (null when untraced).
-  std::shared_ptr<const obs::Trace> FinishQueryObs(
-      const QueryRequest& request, double millis, obs::Histogram* latency,
-      const ExecStats& stats, uint64_t output_rows, const char* engine,
-      obs::TraceContext* trace);
+
+  /// Plan-cache totals over both caches.
+  PlanCache::Stats PlanCacheTotals() const;
+  /// The live collection's counters (zero without one).
+  LiveCollection::Stats LiveStats() const;
 
   template <typename T>
   std::future<Result<T>> SubmitTask(
@@ -372,14 +390,13 @@ class QueryService {
   LiveCollection* live_ = nullptr;
   PlanCache plan_cache_;
   CollectionPlanCache collection_plan_cache_;
-  size_t scatter_queue_capacity_;
   /// Declared before pool_: the pool's shutdown (which runs queued
   /// ingest tasks) must happen while the queue still exists.
   std::unique_ptr<IngestQueue> ingest_;
   ThreadPool pool_;
 
   // Observability state. The registry member keeps metric pointers stable
-  // for the service's lifetime; InitMetrics caches the hot ones below.
+  // for the service's lifetime; the constructor caches the hot ones below.
   obs::MetricsRegistry metrics_;
   obs::TraceRing trace_ring_;
   obs::SlowQueryLog slow_query_log_;
@@ -392,25 +409,27 @@ class QueryService {
   obs::Histogram* stage_optimize_ns_ = nullptr;
   obs::Histogram* stage_execute_ns_ = nullptr;
 
-  std::atomic<uint64_t> submitted_{0};
-  std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> failed_{0};
-  std::atomic<uint64_t> rejected_{0};
-  std::atomic<uint64_t> cursors_opened_{0};
-  std::atomic<uint64_t> cancelled_{0};
-  std::atomic<uint64_t> doc_plan_hits_{0};
-  std::atomic<uint64_t> doc_plan_misses_{0};
-  std::atomic<uint64_t> churn_queries_{0};
-  std::atomic<uint64_t> docs_executed_{0};
-  std::atomic<uint64_t> docs_cancelled_{0};
-  std::atomic<uint64_t> elements_{0};
-  std::atomic<uint64_t> page_fetches_{0};
-  std::atomic<uint64_t> page_misses_{0};
-  std::atomic<uint64_t> io_reads_{0};
-  std::atomic<uint64_t> d_joins_{0};
-  std::atomic<uint64_t> intermediate_rows_{0};
-  std::atomic<uint64_t> output_rows_{0};
-  std::atomic<uint64_t> offset_skipped_{0};
+  // The ServiceStats counters the service keeps itself, registered as
+  // blas_service_<field>.
+  obs::Counter* submitted_ = nullptr;
+  obs::Counter* completed_ = nullptr;
+  obs::Counter* failed_ = nullptr;
+  obs::Counter* rejected_ = nullptr;
+  obs::Counter* cursors_opened_ = nullptr;
+  obs::Counter* cancelled_ = nullptr;
+  obs::Counter* doc_plan_hits_ = nullptr;
+  obs::Counter* doc_plan_misses_ = nullptr;
+  obs::Counter* churn_queries_ = nullptr;
+  obs::Counter* docs_executed_ = nullptr;
+  obs::Counter* docs_cancelled_ = nullptr;
+  obs::Counter* elements_ = nullptr;
+  obs::Counter* page_fetches_ = nullptr;
+  obs::Counter* page_misses_ = nullptr;
+  obs::Counter* io_reads_ = nullptr;
+  obs::Counter* d_joins_ = nullptr;
+  obs::Counter* intermediate_rows_ = nullptr;
+  obs::Counter* output_rows_ = nullptr;
+  obs::Counter* offset_skipped_ = nullptr;
 };
 
 }  // namespace blas

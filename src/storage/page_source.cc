@@ -105,7 +105,7 @@ EpochRegistry& epoch_registry() {
 /// touches the refcount: madvise(MADV_DONTNEED) under a live ref is
 /// harmless (the next access refaults identical bytes from the immutable
 /// file); only the unmapping itself must wait.
-class MappingEpoch : public PageRefOwner {
+class MappingEpoch final : public PageRefOwner {
  public:
   MappingEpoch(void* map, size_t len) : map_(map), len_(len) {
     EpochRegistry& reg = epoch_registry();

@@ -149,6 +149,7 @@ TEST(MetricsRegistry, PrometheusGolden) {
   MetricsRegistry registry;
   registry.GetCounter("reqs_total", "Requests served")->Add(5);
   registry.GetGauge("depth")->Set(-2);
+  registry.RegisterCallbackCounter("docs", "", [] { return uint64_t{4}; });
   Histogram* h = registry.GetHistogram("lat_ns");
   h->Record(3);
   h->Record(3);
@@ -157,6 +158,8 @@ TEST(MetricsRegistry, PrometheusGolden) {
   const std::string expected =
       "# TYPE depth gauge\n"
       "depth -2\n"
+      "# TYPE docs counter\n"
+      "docs 4\n"
       "# TYPE lat_ns histogram\n"
       "lat_ns_bucket{le=\"3\"} 2\n"
       "lat_ns_bucket{le=\"21\"} 3\n"
@@ -175,8 +178,9 @@ TEST(MetricsRegistry, JsonGolden) {
   registry.GetGauge("frames")->Set(12);
   registry.GetHistogram("lat");  // empty histogram still listed
   registry.RegisterCallbackGauge("cb", "", [] { return int64_t{9}; });
+  registry.RegisterCallbackCounter("read", "", [] { return uint64_t{3}; });
   const std::string expected =
-      "{\"counters\":{\"hits\":7},"
+      "{\"counters\":{\"hits\":7,\"read\":3},"
       "\"gauges\":{\"cb\":9,\"frames\":12},"
       "\"histograms\":{\"lat\":{\"count\":0,\"sum\":0,\"max\":0,"
       "\"p50\":0,\"p90\":0,\"p99\":0,\"p999\":0}}}";
@@ -383,6 +387,7 @@ TEST(MetricsSnapshot, RegistryCapturesEveryKind) {
   registry.GetCounter("c")->Add(41);
   registry.GetGauge("g")->Set(-7);
   registry.RegisterCallbackGauge("cb", "", [] { return int64_t{13}; });
+  registry.RegisterCallbackCounter("rc", "", [] { return uint64_t{8}; });
   Histogram* h = registry.GetHistogram("h");
   h->Record(5);
   h->Record(500);
@@ -392,6 +397,7 @@ TEST(MetricsSnapshot, RegistryCapturesEveryKind) {
   EXPECT_EQ(snap.counters.at("c"), 41u);
   EXPECT_EQ(snap.gauges.at("g"), -7);
   EXPECT_EQ(snap.gauges.at("cb"), 13);
+  EXPECT_EQ(snap.counters.at("rc"), 8u);
   const HistogramSnapshot& hs = snap.histograms.at("h");
   EXPECT_EQ(hs.count, 2u);
   EXPECT_EQ(hs.sum, 505u);

@@ -1,5 +1,8 @@
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <future>
 #include <map>
 #include <memory>
@@ -11,6 +14,8 @@
 
 #include "gen/generator.h"
 #include "gen/queries.h"
+#include "ingest/live_collection.h"
+#include "obs/snapshot.h"
 #include "service/normalize.h"
 #include "service/plan_cache.h"
 #include "service/query_service.h"
@@ -256,11 +261,12 @@ TEST(QueryServiceTest, SubmitAfterShutdownReturnsError) {
   EXPECT_EQ(service.stats().rejected, 1u);
 }
 
-TEST(QueryServiceTest, OwnsSystemViaFromXml) {
-  Result<std::unique_ptr<QueryService>> service = QueryService::FromXml(kDoc);
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
-  Result<QueryResult> result =
-      (*service)->Submit({.xpath = "//item/name"}).get();
+TEST(QueryServiceTest, OwnsSharedSystem) {
+  Result<BlasSystem> sys = BlasSystem::FromXml(kDoc);
+  ASSERT_TRUE(sys.ok()) << sys.status().ToString();
+  auto service = std::make_unique<QueryService>(
+      std::make_shared<const BlasSystem>(std::move(sys).value()));
+  Result<QueryResult> result = service->Submit({.xpath = "//item/name"}).get();
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->starts.size(), 2u);
 }
@@ -411,10 +417,12 @@ TEST(QueryServiceObsTest, StatszCountersMatchPerQueryExecStatsSums) {
 
   // Both exporters carry the same numbers.
   const std::string json = service.Statsz();
-  EXPECT_NE(json.find("\"completed\":" + std::to_string(completed)),
+  EXPECT_NE(json.find("\"blas_service_completed\":" +
+                      std::to_string(completed)),
             std::string::npos)
       << json;
-  EXPECT_NE(json.find("\"exec_elements\":" + std::to_string(sum.elements)),
+  EXPECT_NE(json.find("\"blas_service_exec_elements\":" +
+                      std::to_string(sum.elements)),
             std::string::npos)
       << json;
   const std::string prom = service.StatszPrometheus();
@@ -577,6 +585,183 @@ TEST(QueryServiceObsTest, CollectionQueryRecordsScatterStats) {
   }
   EXPECT_EQ(open_docs, 2u);
   EXPECT_TRUE(merged);
+}
+
+
+/// Collection queries record every stage histogram: the per-document plan
+/// build records translate and optimize once per document, and every
+/// per-document open records execute.
+TEST(QueryServiceObsTest, CollectionQueriesRecordEveryStage) {
+  BlasCollection coll;
+  ASSERT_TRUE(coll.AddXml("a", "<r><x/></r>").ok());
+  ASSERT_TRUE(coll.AddXml("b", "<r><x/><x/></r>").ok());
+  QueryService service(&coll, ServiceOptions{.worker_threads = 2});
+
+  QueryRequest request;
+  request.xpath = "//x";
+  for (int i = 0; i < 2; ++i) {
+    Result<BlasCollection::CollectionResult> result =
+        service.ExecuteCollection(request);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->total_matches, 3u);
+  }
+  auto count = [&service](const char* name) {
+    const obs::Histogram* h = service.metrics().GetHistogram(name);
+    return h == nullptr ? uint64_t{0} : h->count();
+  };
+  EXPECT_EQ(count("blas_stage_parse_ns"), 1u);
+  EXPECT_EQ(count("blas_stage_translate_ns"), 2u);
+  EXPECT_EQ(count("blas_stage_optimize_ns"), 2u);
+  EXPECT_EQ(count("blas_stage_execute_ns"), 4u);
+}
+
+/// Every ServiceStats field under its exported name.
+std::vector<std::pair<std::string, uint64_t>> StatsFields(
+    const ServiceStats& s) {
+  return {
+      {"submitted", s.submitted},
+      {"completed", s.completed},
+      {"failed", s.failed},
+      {"rejected", s.rejected},
+      {"cursors_opened", s.cursors_opened},
+      {"cancelled", s.cancelled},
+      {"plan_cache_hits", s.plan_cache_hits},
+      {"plan_cache_misses", s.plan_cache_misses},
+      {"plan_cache_evictions", s.plan_cache_evictions},
+      {"doc_plan_hits", s.doc_plan_hits},
+      {"doc_plan_misses", s.doc_plan_misses},
+      {"docs_ingested", s.docs_ingested},
+      {"docs_removed", s.docs_removed},
+      {"epochs_published", s.epochs_published},
+      {"manifest_bytes", s.manifest_bytes},
+      {"queries_served_during_churn", s.queries_served_during_churn},
+      {"docs_executed", s.docs_executed},
+      {"docs_cancelled", s.docs_cancelled},
+      {"exec_elements", s.exec.elements},
+      {"exec_page_fetches", s.exec.page_fetches},
+      {"exec_page_misses", s.exec.page_misses},
+      {"exec_io_reads", s.exec.io_reads},
+      {"exec_d_joins", s.exec.d_joins},
+      {"exec_intermediate_rows", s.exec.intermediate_rows},
+      {"exec_output_rows", s.exec.output_rows},
+      {"exec_offset_skipped", s.exec.offset_skipped},
+  };
+}
+
+/// Drives `service` through every front-door method (the ones that do not
+/// match its source fail), ending with one Submit after Shutdown.
+void DriveEveryFrontDoor(QueryService& service) {
+  QueryRequest request;
+  request.xpath = "//item/name";
+  request.options.offset = 1;
+  QueryRequest bounded = request;
+  bounded.options.limit = 1;
+  bounded.options.offset = 0;
+
+  (void)service.Execute(request);
+  (void)service.Submit(request).get();
+  (void)service.Submit({.xpath = "not an xpath"}).get();
+  (void)service.Submit(request, [](const Match&) { return true; }).get();
+  (void)service.Submit(bounded, [](const Match&) { return false; }).get();
+  {
+    Result<ResultCursor> cursor = service.SubmitCursor(request).get();
+    if (cursor.ok()) (void)cursor->Drain();
+  }
+  (void)service.ExecuteCollection(request);
+  (void)service.SubmitCollection(request).get();
+  (void)service.SubmitCollection({.xpath = "not an xpath"}).get();
+  (void)service
+      .SubmitCollection(request, [](const CollectionMatch&) { return true; })
+      .get();
+  (void)service
+      .SubmitCollection(bounded, [](const CollectionMatch&) { return false; })
+      .get();
+  {
+    Result<CollectionCursor> cursor =
+        service.SubmitCollectionCursor(request).get();
+    if (cursor.ok()) (void)cursor->Drain();
+  }
+  service.Shutdown();
+  EXPECT_FALSE(service.Submit(request).get().ok());
+}
+
+/// stats(), Statsz(), StatszPrometheus() and SnapshotMetrics() are views
+/// of the same registry counters and agree on every field.
+void ExpectExportParity(const QueryService& service) {
+  const ServiceStats stats = service.stats();
+  const std::string json = service.Statsz();
+  const std::string prom = service.StatszPrometheus();
+  const obs::MetricsSnapshot snapshot = service.SnapshotMetrics();
+  const std::string counters_open = "{\"service\":{\"counters\":{";
+  ASSERT_EQ(json.rfind(counters_open, 0), 0u) << json;
+  const size_t counters_end = json.find('}', counters_open.size());
+  for (const auto& [field, value] : StatsFields(stats)) {
+    const std::string name = "blas_service_" + field;
+    const std::string v = std::to_string(value);
+    const size_t at = json.find("\"" + name + "\":" + v + ",");
+    const size_t last = json.find("\"" + name + "\":" + v + "}");
+    EXPECT_LT(std::min(at, last), counters_end) << name << " != " << v;
+    EXPECT_NE(prom.find("# TYPE " + name + " counter\n" + name + " " + v +
+                        "\n"),
+              std::string::npos)
+        << name << " != " << v;
+    auto it = snapshot.counters.find(name);
+    ASSERT_NE(it, snapshot.counters.end()) << name;
+    EXPECT_EQ(it->second, value) << name;
+  }
+}
+
+TEST(QueryServiceObsTest, EveryStatsFieldIsExportedAsARegistryCounter) {
+  BlasSystem sys = MustBuild(kDoc);
+  QueryService single(&sys, ServiceOptions{.worker_threads = 2});
+  DriveEveryFrontDoor(single);
+  ExpectExportParity(single);
+  const ServiceStats s = single.stats();
+  EXPECT_GT(s.completed, 0u);
+  EXPECT_GT(s.failed, 0u);
+  EXPECT_EQ(s.rejected, 1u);
+  EXPECT_EQ(s.cursors_opened, 1u);
+  EXPECT_EQ(s.cancelled, 1u);
+  EXPECT_GT(s.exec.offset_skipped, 0u);
+
+  BlasCollection coll;
+  ASSERT_TRUE(coll.AddXml("a", kDoc).ok());
+  ASSERT_TRUE(coll.AddXml("b", kDoc).ok());
+  QueryService collection(&coll, ServiceOptions{.worker_threads = 2});
+  DriveEveryFrontDoor(collection);
+  ExpectExportParity(collection);
+  const ServiceStats c = collection.stats();
+  EXPECT_GT(c.completed, 0u);
+  EXPECT_EQ(c.cursors_opened, 1u);
+  EXPECT_EQ(c.cancelled, 1u);
+  EXPECT_GT(c.doc_plan_hits, 0u);
+  EXPECT_GT(c.docs_executed, 0u);
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("blas_service_parity_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  {
+    Result<std::unique_ptr<LiveCollection>> live =
+        LiveCollection::Open(dir.string());
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    QueryService service(live->get(), ServiceOptions{.worker_threads = 2});
+    ASSERT_TRUE(service.SubmitAddDocument("a", kDoc).get().ok());
+    ASSERT_TRUE(service.SubmitAddDocument("b", kDoc).get().ok());
+    ASSERT_TRUE(service.SubmitReplaceDocument("b", kDoc).get().ok());
+    ASSERT_TRUE(service.SubmitRemoveDocument("a").get().ok());
+    service.DrainIngest();
+    DriveEveryFrontDoor(service);
+    ExpectExportParity(service);
+    const ServiceStats l = service.stats();
+    EXPECT_GT(l.completed, 0u);
+    EXPECT_EQ(l.docs_ingested, 3u);
+    EXPECT_EQ(l.docs_removed, 1u);
+    EXPECT_GT(l.epochs_published, 0u);
+    EXPECT_GT(l.manifest_bytes, 0u);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
