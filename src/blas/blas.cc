@@ -136,7 +136,8 @@ Result<BlasSystem> BlasSystem::OpenPaged(const std::string& path,
     PLabel plabel = entry.parent == 0xFFFFFFFFu
                         ? sys.codec_->RootLabel(entry.tag)
                         : sys.codec_->ChildLabel(parent->plabel, entry.tag);
-    SummaryNode* node = sys.summary_->Extend(parent, entry.tag, plabel);
+    SummaryNode* node = sys.summary_->Extend(
+        parent, entry.tag, plabel, sys.tags_->IsAttribute(entry.tag));
     node->count = entry.count;
     nodes.push_back(node);
   }
@@ -207,7 +208,8 @@ Result<BlasSystem> BlasSystem::FromIndexFile(const std::string& path,
     for (size_t i = 0; i < tags.size(); ++i) {
       running = i == 0 ? sys.codec_->RootLabel(tags[i])
                        : sys.codec_->ChildLabel(running, tags[i]);
-      node = sys.summary_->Extend(node, tags[i], running);
+      node = sys.summary_->Extend(node, tags[i], running,
+                                  sys.tags_->IsAttribute(tags[i]));
     }
     node->count += count;
   }

@@ -72,9 +72,7 @@ std::vector<NodeRecord> FetchPartTuples(const PlanPart& part,
   switch (part.scan) {
     case PlanPart::Scan::kPlabelAlts:
       for (const PlanAlt& alt : part.alts) {
-        std::vector<NodeRecord> chunk =
-            store.ScanPlabelRange(alt.range, data, part.level_eq);
-        tuples.insert(tuples.end(), chunk.begin(), chunk.end());
+        store.ScanPlabelRange(alt.range, data, part.level_eq, &tuples);
       }
       break;
     case PlanPart::Scan::kTag: {
@@ -88,11 +86,11 @@ std::vector<NodeRecord> FetchPartTuples(const PlanPart& part,
     }
     case PlanPart::Scan::kAllTags: {
       tuples = store.ScanAll(data);
-      if (part.level_eq.has_value()) {
-        std::erase_if(tuples, [&](const NodeRecord& r) {
-          return r.level != *part.level_eq;
-        });
-      }
+      std::erase_if(tuples, [&](const NodeRecord& r) {
+        return (part.level_eq.has_value() && r.level != *part.level_eq) ||
+               std::binary_search(part.skip_tags.begin(),
+                                  part.skip_tags.end(), r.tag);
+      });
       break;
     }
   }
@@ -123,16 +121,16 @@ int ColOf(int part, int skip) {
   return skip >= 0 && part > skip ? part - 1 : part;
 }
 
-std::vector<Row> FoldJoins(const ExecPlan& plan, int skip,
-                           const NodeStore& store, const StringDict& dict,
-                           ExecStats* local) {
-  std::vector<Row> rows;
-  {
+RowTable FoldJoins(const ExecPlan& plan, int skip, const NodeStore& store,
+                   const StringDict& dict, ExecStats* local) {
+  RowTable rows = [&] {
     std::vector<NodeRecord> tuples = FetchPartTuples(plan.parts[0], store,
                                                      dict);
-    rows.reserve(tuples.size());
-    for (const NodeRecord& rec : tuples) rows.push_back(Row{rec.dlabel()});
-  }
+    std::vector<DLabel> column;
+    column.reserve(tuples.size());
+    for (const NodeRecord& rec : tuples) column.push_back(rec.dlabel());
+    return RowTable(std::move(column));
+  }();
 
   std::vector<PerAltDeltas> alt_tables(plan.parts.size());
   bool dead = false;
@@ -182,12 +180,8 @@ Result<std::vector<DLabel>> RelationalExecutor::ExecuteBindings(
   ReadCounterScope scope(&counters);
   ExecStats local;
 
-  std::vector<Row> rows = FoldJoins(plan, /*skip=*/-1, *store_, *dict_,
-                                    &local);
-
-  std::vector<DLabel> result;
-  result.reserve(rows.size());
-  for (const Row& row : rows) result.push_back(row[plan.return_part]);
+  RowTable rows = FoldJoins(plan, /*skip=*/-1, *store_, *dict_, &local);
+  std::vector<DLabel> result = rows.Column(plan.return_part);
   SortUniqueByStart(&result);
 
   if (stats != nullptr) {
@@ -210,14 +204,10 @@ Result<std::vector<DLabel>> RelationalExecutor::MatchedAnchors(
   ReadCounterScope scope(&counters);
   ExecStats local;
 
-  std::vector<Row> rows = FoldJoins(plan, static_cast<int>(skip), *store_,
-                                    *dict_, &local);
-
-  const int anchor_col = ColOf(plan.parts[skip].anchor,
-                               static_cast<int>(skip));
-  std::vector<DLabel> anchors;
-  anchors.reserve(rows.size());
-  for (const Row& row : rows) anchors.push_back(row[anchor_col]);
+  RowTable rows = FoldJoins(plan, static_cast<int>(skip), *store_, *dict_,
+                            &local);
+  std::vector<DLabel> anchors =
+      rows.Column(ColOf(plan.parts[skip].anchor, static_cast<int>(skip)));
   SortUniqueByStart(&anchors);
 
   if (stats != nullptr) {

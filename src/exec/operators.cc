@@ -39,13 +39,26 @@ bool AnchorSweep::Matches(const NodeRecord& desc, const JoinPred& pred) {
 }
 
 void SortUniqueByStart(std::vector<DLabel>* labels) {
-  std::sort(labels->begin(), labels->end(),
-            [](const DLabel& a, const DLabel& b) { return a.start < b.start; });
+  auto by_start = [](const DLabel& a, const DLabel& b) {
+    return a.start < b.start;
+  };
+  if (!std::is_sorted(labels->begin(), labels->end(), by_start)) {
+    std::sort(labels->begin(), labels->end(), by_start);
+  }
   labels->erase(std::unique(labels->begin(), labels->end(),
                             [](const DLabel& a, const DLabel& b) {
                               return a.start == b.start;
                             }),
                 labels->end());
+}
+
+std::vector<DLabel> RowTable::Column(size_t col) const {
+  std::vector<DLabel> out;
+  out.reserve(size());
+  for (size_t i = col; i < cells_.size(); i += width_) {
+    out.push_back(cells_[i]);
+  }
+  return out;
 }
 
 bool JoinPred::LevelOk(const DLabel& anc, const NodeRecord& desc) const {
@@ -75,70 +88,67 @@ namespace {
 /// A run of rows sharing one anchor binding.
 struct AnchorGroup {
   DLabel label;
-  size_t begin = 0;  // [begin, end) into the sorted row-index array
+  size_t begin = 0;  // [begin, end) in anchor start order
   size_t end = 0;
 };
 
-/// Groups row indices by their anchor column binding, sorted by start.
-std::vector<AnchorGroup> GroupRowsByAnchor(const std::vector<Row>& rows,
-                                           int anchor_col,
-                                           std::vector<size_t>* order) {
-  order->resize(rows.size());
-  std::iota(order->begin(), order->end(), 0);
-  std::sort(order->begin(), order->end(), [&](size_t a, size_t b) {
-    return rows[a][anchor_col].start < rows[b][anchor_col].start;
-  });
-  std::vector<AnchorGroup> groups;
-  size_t i = 0;
-  while (i < order->size()) {
-    const DLabel& label = rows[(*order)[i]][anchor_col];
-    size_t j = i;
-    while (j < order->size() &&
-           rows[(*order)[j]][anchor_col].start == label.start) {
-      ++j;
+/// Row indices sorted by the anchor column's start, or empty when the
+/// column is already in start order. That holds for part 0's column and
+/// for the column the previous join appended, so most joins skip the sort.
+std::vector<size_t> AnchorOrder(const RowTable& rows, int anchor_col) {
+  std::vector<size_t> order;
+  auto start = [&](size_t r) { return rows.at(r, anchor_col).start; };
+  for (size_t r = 1; r < rows.size(); ++r) {
+    if (start(r) < start(r - 1)) {
+      order.resize(rows.size());
+      std::iota(order.begin(), order.end(), 0);
+      std::sort(order.begin(), order.end(),
+                [&](size_t a, size_t b) { return start(a) < start(b); });
+      break;
     }
-    groups.push_back(AnchorGroup{label, i, j});
-    i = j;
   }
-  return groups;
+  return order;
 }
 
 }  // namespace
 
-std::vector<Row> StructuralJoinRows(const std::vector<Row>& rows,
-                                    int anchor_col,
-                                    const std::vector<NodeRecord>& descs,
-                                    const JoinPred& pred) {
-  std::vector<Row> out;
+RowTable StructuralJoinRows(const RowTable& rows, int anchor_col,
+                            const std::vector<NodeRecord>& descs,
+                            const JoinPred& pred) {
+  RowTable out(rows.width() + 1);
   if (rows.empty() || descs.empty()) return out;
 
-  std::vector<size_t> order;
-  std::vector<AnchorGroup> groups = GroupRowsByAnchor(rows, anchor_col,
-                                                      &order);
-  std::vector<size_t> stack;  // indices into groups; nested chain
-  size_t g = 0;
+  const std::vector<size_t> order = AnchorOrder(rows, anchor_col);
+  auto row_at = [&](size_t i) { return order.empty() ? i : order[i]; };
+  auto anchor = [&](size_t i) -> const DLabel& {
+    return rows.at(row_at(i), anchor_col);
+  };
+  const size_t n = rows.size();
+  std::vector<AnchorGroup> stack;  // nested chain of anchor groups
+  size_t next = 0;                 // first row not yet pushed
   for (const NodeRecord& desc : descs) {
     // Bring in anchors that start before this desc; drop finished ones.
-    while (g < groups.size() && groups[g].label.start < desc.start) {
-      while (!stack.empty() &&
-             groups[stack.back()].label.end < groups[g].label.start) {
+    while (next < n && anchor(next).start < desc.start) {
+      AnchorGroup grp{anchor(next), next, next + 1};
+      while (grp.end < n && anchor(grp.end).start == grp.label.start) {
+        ++grp.end;
+      }
+      while (!stack.empty() && stack.back().label.end < grp.label.start) {
         stack.pop_back();
       }
-      stack.push_back(g);
-      ++g;
+      stack.push_back(grp);
+      next = grp.end;
     }
-    while (!stack.empty() && groups[stack.back()].label.end < desc.start) {
+    while (!stack.empty() && stack.back().label.end < desc.start) {
       stack.pop_back();
     }
     // Every remaining stack entry strictly contains `desc` (intervals of a
     // well-formed document either nest or are disjoint).
-    for (size_t idx : stack) {
-      const AnchorGroup& grp = groups[idx];
+    const DLabel binding = desc.dlabel();
+    for (const AnchorGroup& grp : stack) {
       if (!pred.LevelOk(grp.label, desc)) continue;
-      for (size_t r = grp.begin; r < grp.end; ++r) {
-        Row row = rows[order[r]];
-        row.push_back(desc.dlabel());
-        out.push_back(std::move(row));
+      for (size_t i = grp.begin; i < grp.end; ++i) {
+        out.AppendRow(rows.row(row_at(i)), binding);
       }
     }
   }

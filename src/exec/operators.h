@@ -16,7 +16,7 @@ using PerAltDeltas = std::vector<std::pair<PLabel, std::vector<int32_t>>>;
 
 /// Restores document order and drops duplicate bindings (equal starts name
 /// the same element) — the projection step shared by both engines' result
-/// and anchor lists.
+/// and anchor lists. Input already in start order is not re-sorted.
 void SortUniqueByStart(std::vector<DLabel>* labels);
 
 /// Builds the per-alternative delta table of an Unfold plan part.
@@ -34,20 +34,56 @@ struct JoinPred {
   bool LevelOk(const DLabel& anc, const NodeRecord& desc) const;
 };
 
-/// One intermediate tuple of the relational executor: the D-label binding
-/// of every part processed so far (column i = plan part i).
-using Row = std::vector<DLabel>;
+/// \brief The relational executor's intermediate result: a bag of tuples,
+/// each the D-label binding of every part processed so far (column i =
+/// plan part i).
+///
+/// Rows live row-major in one contiguous buffer — row r's columns are
+/// cells [r * width, (r + 1) * width) — so a query allocates a few buffers
+/// per plan part instead of one per row.
+class RowTable {
+ public:
+  explicit RowTable(size_t width) : width_(width) {}
+  /// A one-column table holding `column`.
+  explicit RowTable(std::vector<DLabel> column)
+      : width_(1), cells_(std::move(column)) {}
+
+  size_t width() const { return width_; }
+  size_t size() const { return cells_.size() / width_; }
+  bool empty() const { return cells_.empty(); }
+
+  /// The first of row r's width() cells.
+  const DLabel* row(size_t r) const { return cells_.data() + r * width_; }
+  const DLabel& at(size_t r, size_t col) const {
+    return cells_[r * width_ + col];
+  }
+
+  /// Appends one row: width() - 1 cells copied from `prefix` (which must
+  /// not point into this table), then `last`.
+  void AppendRow(const DLabel* prefix, const DLabel& last) {
+    cells_.insert(cells_.end(), prefix, prefix + (width_ - 1));
+    cells_.push_back(last);
+  }
+
+  /// Column `col` of every row, in row order.
+  std::vector<DLabel> Column(size_t col) const;
+
+ private:
+  size_t width_;
+  std::vector<DLabel> cells_;
+};
 
 /// \brief Structural merge join (stack-based interval sweep).
 ///
 /// Extends each row whose anchor column strictly contains a `descs` record
-/// satisfying `pred`. `descs` must be sorted by start; rows are re-sorted
-/// internally. Output rows have one extra column (the desc binding) and
-/// arbitrary order. Runs in O((rows + descs) * depth + output).
-std::vector<Row> StructuralJoinRows(const std::vector<Row>& rows,
-                                    int anchor_col,
-                                    const std::vector<NodeRecord>& descs,
-                                    const JoinPred& pred);
+/// satisfying `pred`. `descs` must be sorted by start; rows are visited in
+/// anchor start order (sorted internally unless already so). Output rows
+/// have one extra column (the desc binding) and are ordered by it. Runs in
+/// O((rows + descs) * depth + output), plus O(rows log rows) when the
+/// anchor column is not in start order.
+RowTable StructuralJoinRows(const RowTable& rows, int anchor_col,
+                            const std::vector<NodeRecord>& descs,
+                            const JoinPred& pred);
 
 /// Semi-join marking of the anchor side: result[i] is 1 iff anchors[i]
 /// strictly contains some desc with desc_alive set and `pred` satisfied.

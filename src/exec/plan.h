@@ -42,6 +42,9 @@ struct PlanPart {
   std::vector<PlanAlt> alts;
   /// For kTag.
   TagId tag = 0;
+  /// For kAllTags: tags the scan drops, ascending (the attribute tags — the
+  /// wildcard `*` selects elements only).
+  std::vector<TagId> skip_tags;
 
   /// Residual predicate on the data column (equality predicates use the
   /// dictionary fast path; other operators compare decoded strings).

@@ -47,12 +47,14 @@ void Labeler::OnStartElement(std::string_view name,
   if (stack_.empty()) {
     frame.record.plabel = codec_.RootLabel(*tag);
     frame.summary = summary_.Extend(summary_.mutable_root(), *tag,
-                                    frame.record.plabel);
+                                    frame.record.plabel,
+                                    /*attribute=*/false);
   } else {
     const Frame& parent = stack_.back();
     frame.record.plabel = codec_.ChildLabel(parent.record.plabel, *tag);
-    frame.summary =
-        summary_.Extend(parent.summary, *tag, frame.record.plabel);
+    frame.summary = summary_.Extend(parent.summary, *tag,
+                                    frame.record.plabel,
+                                    /*attribute=*/false);
   }
   frame.summary->count++;
 
@@ -74,8 +76,8 @@ void Labeler::OnStartElement(std::string_view name,
     next_pos_++;  // attribute value unit
     rec.end = next_pos_++;
     rec.data = dict_.Intern(attr.value);
-    SummaryNode* snode =
-        summary_.Extend(frame.summary, *attr_tag, rec.plabel);
+    SummaryNode* snode = summary_.Extend(frame.summary, *attr_tag, rec.plabel,
+                                         /*attribute=*/true);
     snode->count++;
     records_.push_back(rec);
   }

@@ -36,6 +36,12 @@ class TagRegistry {
   /// Returns the name for a valid id ("/" for kSlashTag).
   const std::string& Name(TagId id) const;
 
+  /// True iff `id` names an attribute ("@name"). The XPath wildcard `*`
+  /// selects elements only, so both translators skip these tags for it.
+  bool IsAttribute(TagId id) const {
+    return id != kSlashTag && Name(id).starts_with('@');
+  }
+
   /// Number of distinct real tags (excludes the "/" slot).
   size_t size() const { return names_.size(); }
 

@@ -16,7 +16,7 @@ std::vector<TagId> SummaryNode::PathTags() const {
 }
 
 SummaryNode* PathSummary::Extend(SummaryNode* parent, TagId tag,
-                                 PLabel plabel) {
+                                 PLabel plabel, bool attribute) {
   for (auto& child : parent->children) {
     if (child->tag == tag) return child.get();
   }
@@ -25,6 +25,7 @@ SummaryNode* PathSummary::Extend(SummaryNode* parent, TagId tag,
   node->parent = parent;
   node->depth = parent->depth + 1;
   node->plabel = plabel;
+  node->attribute = attribute;
   SummaryNode* raw = node.get();
   parent->children.push_back(std::move(node));
   ++path_count_;
@@ -34,7 +35,7 @@ SummaryNode* PathSummary::Extend(SummaryNode* parent, TagId tag,
 namespace {
 
 bool StepMatches(const SummaryStep& step, const SummaryNode* node) {
-  return !step.tag.has_value() || *step.tag == node->tag;
+  return step.tag.has_value() ? *step.tag == node->tag : !node->attribute;
 }
 
 void CollectDescendants(const SummaryNode* node,

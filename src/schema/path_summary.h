@@ -20,6 +20,7 @@ struct SummaryNode {
   int depth = 0;                        // pseudo-root = 0
   uint64_t count = 0;                   // instances of this path
   PLabel plabel = 0;                    // node P-label of this simple path
+  bool attribute = false;               // path ends in an "@name" step
   std::vector<std::unique_ptr<SummaryNode>> children;
 
   /// Tag ids of the path, root first (empty for the pseudo-root).
@@ -27,7 +28,7 @@ struct SummaryNode {
 };
 
 /// One step of a path pattern matched against the summary. `tag == nullopt`
-/// is a wildcard (*).
+/// is a wildcard (*), which matches element paths only.
 struct SummaryStep {
   bool descendant = false;  // axis preceding this step: true = //
   std::optional<TagId> tag;
@@ -50,8 +51,10 @@ class PathSummary {
   PathSummary& operator=(PathSummary&&) = default;
 
   /// Returns the child of `parent` tagged `tag`, creating it on first use.
-  /// `plabel` is the node P-label of the extended path.
-  SummaryNode* Extend(SummaryNode* parent, TagId tag, PLabel plabel);
+  /// `plabel` is the node P-label of the extended path; `attribute` marks
+  /// an attribute tag (TagRegistry::IsAttribute).
+  SummaryNode* Extend(SummaryNode* parent, TagId tag, PLabel plabel,
+                      bool attribute);
 
   const SummaryNode* root() const { return root_.get(); }
   SummaryNode* mutable_root() { return root_.get(); }

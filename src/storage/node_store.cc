@@ -95,11 +95,11 @@ PagedStoreMeta NodeStore::paged_meta() const {
   return meta;
 }
 
-std::vector<NodeRecord> NodeStore::ScanPlabelRange(
-    const PLabelRange& range, std::optional<uint32_t> data,
-    std::optional<int32_t> level) const {
-  std::vector<NodeRecord> out;
-  if (range.empty()) return out;
+void NodeStore::ScanPlabelRange(const PLabelRange& range,
+                                std::optional<uint32_t> data,
+                                std::optional<int32_t> level,
+                                std::vector<NodeRecord>* out) const {
+  if (range.empty()) return;
   uint64_t visited = 0;
   auto it = sp_.Seek(SpKey{range.lo, 0});
   ReadaheadFrom(sp_, it.page());
@@ -109,10 +109,9 @@ std::vector<NodeRecord> NodeStore::ScanPlabelRange(
     ++visited;
     if (data.has_value() && rec.data != *data) continue;
     if (level.has_value() && rec.level != *level) continue;
-    out.push_back(rec);
+    out->push_back(rec);
   }
   CountVisited(&elements_, visited);
-  return out;
 }
 
 std::vector<NodeRecord> NodeStore::ScanTag(TagId tag,

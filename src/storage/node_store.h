@@ -140,11 +140,12 @@ class NodeStore {
   NodeStore(const NodeStore&) = delete;
   NodeStore& operator=(const NodeStore&) = delete;
 
-  /// Records with plabel in [range.lo, range.hi], optionally filtered by
-  /// data id and/or exact level. Result is ordered by (plabel, start).
-  std::vector<NodeRecord> ScanPlabelRange(
-      const PLabelRange& range, std::optional<uint32_t> data = std::nullopt,
-      std::optional<int32_t> level = std::nullopt) const;
+  /// Appends the records with plabel in [range.lo, range.hi], optionally
+  /// filtered by data id and/or exact level, to `out` in (plabel, start)
+  /// order — a union of ranges fills one vector.
+  void ScanPlabelRange(const PLabelRange& range, std::optional<uint32_t> data,
+                       std::optional<int32_t> level,
+                       std::vector<NodeRecord>* out) const;
 
   /// Records with the given tag (D-labeling access path), optionally
   /// filtered by data id. Result is ordered by start.

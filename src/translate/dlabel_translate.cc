@@ -12,6 +12,9 @@ void EmitNode(const QueryNode* node, int parent_part,
   PlanPart part;
   if (node->tag == kWildcard) {
     part.scan = PlanPart::Scan::kAllTags;
+    for (TagId id = 1; id <= ctx.tags->size(); ++id) {
+      if (ctx.tags->IsAttribute(id)) part.skip_tags.push_back(id);
+    }
   } else {
     part.scan = PlanPart::Scan::kTag;
     auto id = ctx.tags->Find(node->tag);

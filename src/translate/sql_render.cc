@@ -62,6 +62,7 @@ std::string SelectionPredicate(const PlanPart& part, const std::string& t,
       add(t + ".tag = " + SqlLiteral(tags.Name(part.tag)));
       break;
     case PlanPart::Scan::kAllTags:
+      if (!part.skip_tags.empty()) add(t + ".tag NOT LIKE '@%'");
       break;
   }
   if (part.value.has_value()) {

@@ -18,6 +18,15 @@ NodeRecord Rec(uint32_t start, uint32_t end, int32_t level,
   return r;
 }
 
+/// A row table holding `rows` (all of one width).
+RowTable Table(const std::vector<std::vector<DLabel>>& rows) {
+  RowTable table(rows.empty() ? 1 : rows[0].size());
+  for (const std::vector<DLabel>& row : rows) {
+    table.AppendRow(row.data(), row.back());
+  }
+  return table;
+}
+
 TEST(JoinPredTest, Kinds) {
   DLabel anc{1, 100, 2};
   NodeRecord d3 = Rec(5, 6, 3);
@@ -53,20 +62,20 @@ TEST(JoinPredTest, PerAltDeltas) {
 
 TEST(StructuralJoinTest, BasicContainment) {
   // Anchors: [1,10] and [12,20]; descs inside each plus one outside.
-  std::vector<Row> rows = {{DLabel{1, 10, 1}}, {DLabel{12, 20, 1}}};
+  RowTable rows = Table({{DLabel{1, 10, 1}}, {DLabel{12, 20, 1}}});
   std::vector<NodeRecord> descs = {Rec(2, 3, 2), Rec(13, 14, 2),
                                    Rec(21, 22, 2)};
   JoinPred pred{PlanPart::Join::kContain, 0, nullptr};
-  std::vector<Row> out = StructuralJoinRows(rows, 0, descs, pred);
+  RowTable out = StructuralJoinRows(rows, 0, descs, pred);
   ASSERT_EQ(out.size(), 2u);
 }
 
 TEST(StructuralJoinTest, NestedAnchors) {
   // //a//a style: anchors nest; inner desc joins with both.
-  std::vector<Row> rows = {{DLabel{1, 100, 1}}, {DLabel{10, 50, 2}}};
+  RowTable rows = Table({{DLabel{1, 100, 1}}, {DLabel{10, 50, 2}}});
   std::vector<NodeRecord> descs = {Rec(20, 21, 3), Rec(60, 61, 2)};
   JoinPred pred{PlanPart::Join::kContain, 0, nullptr};
-  std::vector<Row> out = StructuralJoinRows(rows, 0, descs, pred);
+  RowTable out = StructuralJoinRows(rows, 0, descs, pred);
   // (outer, 20), (inner, 20), (outer, 60).
   EXPECT_EQ(out.size(), 3u);
 }
@@ -74,25 +83,25 @@ TEST(StructuralJoinTest, NestedAnchors) {
 TEST(StructuralJoinTest, SharedAnchorMultipliesRows) {
   // Two rows with the same anchor binding both extend.
   DLabel anchor{1, 10, 1};
-  std::vector<Row> rows = {{anchor, DLabel{2, 3, 2}},
-                           {anchor, DLabel{4, 5, 2}}};
+  RowTable rows = Table({{anchor, DLabel{2, 3, 2}},
+                         {anchor, DLabel{4, 5, 2}}});
   std::vector<NodeRecord> descs = {Rec(6, 7, 2)};
   JoinPred pred{PlanPart::Join::kContain, 0, nullptr};
-  std::vector<Row> out = StructuralJoinRows(rows, 0, descs, pred);
+  RowTable out = StructuralJoinRows(rows, 0, descs, pred);
   EXPECT_EQ(out.size(), 2u);
-  for (const Row& row : out) EXPECT_EQ(row.size(), 3u);
+  EXPECT_EQ(out.width(), 3u);
 }
 
 TEST(StructuralJoinTest, EmptyInputs) {
   JoinPred pred{PlanPart::Join::kContain, 0, nullptr};
-  EXPECT_TRUE(StructuralJoinRows({}, 0, {Rec(1, 2, 1)}, pred).empty());
+  EXPECT_TRUE(StructuralJoinRows(Table({}), 0, {Rec(1, 2, 1)}, pred).empty());
   EXPECT_TRUE(
-      StructuralJoinRows({{DLabel{1, 2, 1}}}, 0, {}, pred).empty());
+      StructuralJoinRows(Table({{DLabel{1, 2, 1}}}), 0, {}, pred).empty());
 }
 
 TEST(StructuralJoinTest, StrictContainmentExcludesSelf) {
   // Identical intervals must not join (descendant axis is strict).
-  std::vector<Row> rows = {{DLabel{5, 10, 2}}};
+  RowTable rows = Table({{DLabel{5, 10, 2}}});
   std::vector<NodeRecord> descs = {Rec(5, 10, 2)};
   JoinPred pred{PlanPart::Join::kContain, 0, nullptr};
   EXPECT_TRUE(StructuralJoinRows(rows, 0, descs, pred).empty());
@@ -195,6 +204,57 @@ TEST(ExecutorTest, IntermediateRowsTracked) {
   ASSERT_TRUE(r.ok());
   // Join 1: a x b -> 2 rows; join 2: rows x c -> 3 rows.
   EXPECT_EQ(r->stats.intermediate_rows, 5u);
+}
+
+// XPath's `*` selects elements only: attribute nodes (stored as "@name"
+// tags in both the path summary and the tag relation) must not match it,
+// on either wildcard-capable translator, engine or cursor path.
+TEST(WildcardTest, SelectsElementsOnly) {
+  struct Case {
+    const char* xml;
+    std::vector<const char*> xpaths;
+  };
+  const std::vector<Case> cases = {
+      {"<a k=\"v\"><b/></a>", {"/a/*", "//*", "/*"}},
+      {"<a k=\"v\"><b k=\"1\" j=\"2\"><c k=\"3\"/></b><d>t</d>"
+       "<b/></a>",
+       {"/a/*", "//*", "/a/*/@k", "//*/@k", "/a/*/*", "//b/*", "/a//*"}},
+      {"<site><regions>"
+       "<africa><item id=\"i1\"><shipping>s</shipping><name>n</name>"
+       "</item></africa>"
+       "<asia><item id=\"i2\" featured=\"yes\"><name>m</name></item>"
+       "<item id=\"i3\"><shipping>t</shipping><payment>p</payment>"
+       "</item></asia>"
+       "</regions></site>",
+       {"/site/regions/*/item[shipping]/*", "/site/regions/*/item/*",
+        "//item/*", "/site/regions/*"}},
+  };
+  for (const Case& c : cases) {
+    BlasSystem sys = MustBuild(c.xml);
+    for (const char* xpath : c.xpaths) {
+      Result<Query> query = ParseXPath(xpath);
+      ASSERT_TRUE(query.ok()) << xpath;
+      const std::vector<uint32_t> expected =
+          NaiveEvalStarts(*query, *sys.dom());
+      for (Translator translator : {Translator::kUnfold, Translator::kDLabel}) {
+        for (Engine engine : {Engine::kRelational, Engine::kTwig}) {
+          for (uint64_t limit : {uint64_t{0}, uint64_t{1}}) {
+            QueryOptions options;
+            options.translator = translator;
+            options.engine = engine;
+            options.limit = limit;
+            Result<QueryResult> r = sys.Execute(*query, options);
+            ASSERT_TRUE(r.ok()) << xpath << ": " << r.status().ToString();
+            std::vector<uint32_t> want = expected;
+            if (limit > 0 && want.size() > limit) want.resize(limit);
+            EXPECT_EQ(r->starts, want)
+                << xpath << " [" << TranslatorName(translator) << "/"
+                << EngineName(engine) << " limit=" << limit << "]";
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 //   * structural join operators vs brute force on random interval sets.
 
 #include <algorithm>
+#include <set>
 #include <tuple>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -225,8 +227,9 @@ TEST_P(JoinSweep, SweepsMatchBruteForce) {
     }
 
     // StructuralJoinRows vs brute-force pair count.
-    std::vector<Row> rows;
-    for (const NodeRecord& a : anchors) rows.push_back(Row{a.dlabel()});
+    std::vector<DLabel> column;
+    for (const NodeRecord& a : anchors) column.push_back(a.dlabel());
+    RowTable rows(std::move(column));
     size_t expect_pairs = 0;
     for (const NodeRecord& a : anchors) {
       for (const NodeRecord& d : descs) {
@@ -234,6 +237,79 @@ TEST_P(JoinSweep, SweepsMatchBruteForce) {
       }
     }
     EXPECT_EQ(StructuralJoinRows(rows, 0, descs, pred).size(), expect_pairs);
+  }
+}
+
+// A 3-part chain A -> B -> C where the last join's anchor column is not in
+// start order and repeats across rows: the path on which StructuralJoinRows
+// must sort its input. Every join row is checked against brute force.
+TEST_P(JoinSweep, UnsortedAnchorColumnMatchesBruteForce) {
+  Rng rng(GetParam());
+  std::vector<NodeRecord> nodes = RandomForest(&rng, 120);
+  std::vector<NodeRecord> a_recs;
+  std::vector<NodeRecord> b_recs;
+  std::vector<NodeRecord> c_recs;
+  for (const NodeRecord& r : nodes) {
+    if (rng.Percent(40)) a_recs.push_back(r);
+    if (rng.Percent(50)) b_recs.push_back(r);
+    if (rng.Percent(50)) c_recs.push_back(r);
+  }
+  auto contains = [](const DLabel& a, const NodeRecord& d) {
+    return a.start < d.start && a.end > d.end;
+  };
+
+  std::vector<DLabel> a_col;
+  for (const NodeRecord& a : a_recs) a_col.push_back(a.dlabel());
+  JoinPred contain{PlanPart::Join::kContain, 0, nullptr};
+  // Fan-out join: nested A anchors share B bindings.
+  RowTable ab = StructuralJoinRows(RowTable(std::move(a_col)), 0, b_recs,
+                                   contain);
+  // The same bag with its rows reversed, so column 1 descends.
+  RowTable ab_reversed(2);
+  for (size_t r = ab.size(); r-- > 0;) {
+    ab_reversed.AppendRow(ab.row(r), ab.at(r, 1));
+  }
+
+  auto column_shape = [](const RowTable& t, int col) {
+    bool sorted = true;
+    std::set<uint32_t> starts;
+    for (size_t r = 0; r < t.size(); ++r) {
+      if (r > 0 && t.at(r, col).start < t.at(r - 1, col).start) {
+        sorted = false;
+      }
+      starts.insert(t.at(r, col).start);
+    }
+    return std::make_pair(sorted, starts.size() < t.size());
+  };
+  ASSERT_EQ(column_shape(ab_reversed, 1), std::make_pair(false, true));
+  ASSERT_EQ(column_shape(ab, 0), std::make_pair(false, true));
+
+  for (auto kind : {PlanPart::Join::kContain, PlanPart::Join::kContainMin,
+                    PlanPart::Join::kContainExact}) {
+    JoinPred pred{kind, 2, nullptr};
+    for (int anchor_col : {0, 1}) {
+      const RowTable& input = anchor_col == 1 ? ab_reversed : ab;
+      std::multiset<std::tuple<uint32_t, uint32_t, uint32_t>> expect;
+      for (const NodeRecord& a : a_recs) {
+        for (const NodeRecord& b : b_recs) {
+          if (!contains(a.dlabel(), b)) continue;
+          const DLabel anchor = anchor_col == 0 ? a.dlabel() : b.dlabel();
+          for (const NodeRecord& c : c_recs) {
+            if (contains(anchor, c) && pred.LevelOk(anchor, c)) {
+              expect.emplace(a.start, b.start, c.start);
+            }
+          }
+        }
+      }
+      RowTable out = StructuralJoinRows(input, anchor_col, c_recs, pred);
+      ASSERT_EQ(out.width(), 3u);
+      std::multiset<std::tuple<uint32_t, uint32_t, uint32_t>> got;
+      for (size_t r = 0; r < out.size(); ++r) {
+        got.emplace(out.at(r, 0).start, out.at(r, 1).start,
+                    out.at(r, 2).start);
+      }
+      EXPECT_EQ(got, expect) << "anchor column " << anchor_col;
+    }
   }
 }
 

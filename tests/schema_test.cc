@@ -119,6 +119,19 @@ TEST(PathSummaryTest, ExpandNoMatches) {
   EXPECT_TRUE(b.summary.Expand({}).empty());
 }
 
+TEST(PathSummaryTest, WildcardSkipsAttributePaths) {
+  Built b = BuildSummary("<a k=\"v\"><b j=\"w\"/></a>");
+  EXPECT_EQ(PathsOf(b, b.summary.Expand({Step(b, false, "a"),
+                                         Step(b, false, "*")})),
+            (std::vector<std::string>{"/a/b"}));
+  EXPECT_EQ(PathsOf(b, b.summary.Expand({Step(b, true, "*")})),
+            (std::vector<std::string>{"/a", "/a/b"}));
+  // A named attribute step still matches its attribute path.
+  EXPECT_EQ(PathsOf(b, b.summary.Expand({Step(b, true, "*"),
+                                         Step(b, false, "@j")})),
+            (std::vector<std::string>{"/a/b/@j"}));
+}
+
 TEST(PathSummaryTest, PlabelsMatchCodec) {
   Built b = BuildSummary("<a><b><c/></b></a>");
   auto nodes = b.summary.Expand(

@@ -172,9 +172,17 @@ std::vector<NodeRecord> MakeRecords() {
   return recs;
 }
 
+std::vector<NodeRecord> ScanRange(const NodeStore& store,
+                                  const PLabelRange& range,
+                                  std::optional<uint32_t> data = std::nullopt) {
+  std::vector<NodeRecord> out;
+  store.ScanPlabelRange(range, data, std::nullopt, &out);
+  return out;
+}
+
 TEST(NodeStoreTest, PlabelRangeScan) {
   NodeStore store(MakeRecords(), 64);
-  auto out = store.ScanPlabelRange(PLabelRange{150, 250});
+  auto out = ScanRange(store, PLabelRange{150, 250});
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].plabel, static_cast<PLabel>(150));
   EXPECT_EQ(out[1].start, 2u);  // (200,2) before (200,6)
@@ -184,14 +192,14 @@ TEST(NodeStoreTest, PlabelRangeScan) {
 
 TEST(NodeStoreTest, PlabelEqualityAndFilters) {
   NodeStore store(MakeRecords(), 64);
-  auto all200 = store.ScanPlabelRange(PLabelRange{200, 200});
+  auto all200 = ScanRange(store, PLabelRange{200, 200});
   EXPECT_EQ(all200.size(), 2u);
-  auto with_data = store.ScanPlabelRange(PLabelRange{200, 200}, 7);
+  auto with_data = ScanRange(store, PLabelRange{200, 200}, 7);
   ASSERT_EQ(with_data.size(), 1u);
   EXPECT_EQ(with_data[0].start, 2u);
   // Filtered-out tuples still count as visited.
   EXPECT_EQ(store.stats().elements, 4u);
-  auto empty = store.ScanPlabelRange(PLabelRange{}, std::nullopt);
+  auto empty = ScanRange(store, PLabelRange{}, std::nullopt);
   EXPECT_TRUE(empty.empty());
 }
 
@@ -238,7 +246,7 @@ TEST(NodeStoreTest, LargeStoreRangeMatchesBruteForce) {
   }
   NodeStore store(recs, 512);
   PLabelRange range{100, 199};
-  auto got = store.ScanPlabelRange(range);
+  auto got = ScanRange(store, range);
   size_t expected = 0;
   for (const auto& r : recs) {
     if (range.Contains(r.plabel)) ++expected;

@@ -267,6 +267,28 @@ TEST_F(PlanShapeTest, SqlRenderingMentionsKeyPieces) {
   EXPECT_NE(alg->find("sigma_{"), std::string::npos);
 }
 
+TEST(WildcardPlanTest, AttributesAreNotWildcardMatches) {
+  BlasSystem sys = MustBuild("<a k=\"v\"><b j=\"w\"/></a>");
+  // D-labeling: the full SD scan drops the attribute tags.
+  Result<ExecPlan> dlabel = sys.Plan("/a/*", Translator::kDLabel);
+  ASSERT_TRUE(dlabel.ok());
+  ASSERT_EQ(dlabel->parts.size(), 2u);
+  EXPECT_EQ(dlabel->parts[1].scan, PlanPart::Scan::kAllTags);
+  EXPECT_EQ(dlabel->parts[1].skip_tags,
+            (std::vector<TagId>{*sys.tags().Find("@k"),
+                                *sys.tags().Find("@j")}));
+  Result<std::string> sql = sys.ExplainSql("/a/*", Translator::kDLabel);
+  ASSERT_TRUE(sql.ok());
+  EXPECT_NE(sql->find(".tag NOT LIKE '@%'"), std::string::npos);
+
+  // Unfold: the wildcard expands to the element path /a/b only.
+  Result<ExecPlan> unfold = sys.Plan("/a/*", Translator::kUnfold);
+  ASSERT_TRUE(unfold.ok());
+  ASSERT_EQ(unfold->parts.size(), 1u);
+  EXPECT_EQ(unfold->parts[0].alts.size(), 1u);
+  EXPECT_EQ(unfold->AnalyzeShape().union_arms, 0);
+}
+
 TEST_F(PlanShapeTest, TranslatorNamesAndDispatch) {
   EXPECT_STREQ(TranslatorName(Translator::kDLabel), "D-labeling");
   EXPECT_STREQ(TranslatorName(Translator::kSplit), "Split");
