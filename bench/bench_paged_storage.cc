@@ -1,13 +1,13 @@
 // Demand-paged storage: cold-open latency of OpenPaged (O(1) in document
-// size) vs the materializing FromIndexFile, cold-open + first-scan wall
-// time per storage backend (the pread-vs-mmap read-path comparison), and
-// query cost under a real memory budget — page misses that are actual
-// disk reads — vs the in-memory store's simulated misses.
+// size), cold-open + first-scan wall time per storage backend (the
+// pread-vs-mmap read-path comparison), and query cost under a real memory
+// budget — page misses that are actual disk reads — vs the in-memory
+// store's simulated misses.
 //
-// Every paged benchmark runs on a backend={inmem,pread,mmap} axis: the
-// backend appears in the benchmark name and as the `backend` user
-// counter in BENCH_paged_storage.json (0 = inmem, 1 = pread, 2 = mmap),
-// so the perf trajectory tracks the backend split.
+// Every benchmark names its backend (inmem, pread or mmap), which also
+// appears as the `backend` user counter in BENCH_paged_storage.json
+// (0 = inmem, 1 = pread, 2 = mmap), so the perf trajectory tracks the
+// backend split.
 //
 // Knobs: BLAS_BENCH_REPLICATE (corpus scale, default 4),
 //        BLAS_BENCH_FRAMES (paged frames per shard, default 16).
@@ -19,7 +19,6 @@
 
 #include "bench/bench_util.h"
 #include "storage/page_source.h"
-#include "storage/persist.h"
 
 namespace blas {
 namespace bench {
@@ -27,20 +26,17 @@ namespace {
 
 struct Corpus {
   std::shared_ptr<BlasSystem> memory;
-  std::string blas1_path;
   std::string blas2_path;
 };
 
-/// Builds the auction corpus once and persists it in both formats.
+/// Builds the auction corpus once and persists it as a BLASIDX2 snapshot.
 const Corpus& GetCorpus() {
   static const Corpus* corpus = [] {
     auto* c = new Corpus();
     c->memory = GetSystem('A', EnvInt("BLAS_BENCH_REPLICATE", 4));
-    c->blas1_path = "/tmp/blas_bench_paged.idx";
     c->blas2_path = "/tmp/blas_bench_paged.idx2";
-    Status s1 = c->memory->SaveIndex(c->blas1_path);
     Status s2 = c->memory->SavePagedIndex(c->blas2_path);
-    if (!s1.ok() || !s2.ok()) {
+    if (!s2.ok()) {
       std::fprintf(stderr, "snapshot save failed\n");
       std::abort();
     }
@@ -99,23 +95,6 @@ void BM_ColdOpenPaged(benchmark::State& state, StorageBackend backend) {
       static_cast<double>(GetCorpus().memory->doc_stats().pages);
 }
 
-/// Cold open of the materializing path: every record is parsed and all
-/// four trees rebuilt before the first query can run.
-void BM_ColdOpenMaterialized(benchmark::State& state) {
-  const Corpus& corpus = GetCorpus();
-  for (auto _ : state) {
-    Result<BlasSystem> sys = BlasSystem::FromIndexFile(corpus.blas1_path);
-    if (!sys.ok()) {
-      state.SkipWithError(sys.status().ToString().c_str());
-      return;
-    }
-    benchmark::DoNotOptimize(sys->doc_stats().tags);
-  }
-  state.counters["backend"] = BackendCounter(StorageBackend::kInMemory);
-  state.counters["index_pages"] =
-      static_cast<double>(GetCorpus().memory->doc_stats().pages);
-}
-
 /// Touches every pool page once, in order, through the pool's read path.
 uint64_t ScanAllPages(const BufferPool& pool) {
   const size_t pages = pool.page_count();
@@ -137,27 +116,14 @@ void BM_ColdOpenFirstScan(benchmark::State& state, StorageBackend backend) {
   const Corpus& corpus = GetCorpus();
   size_t pages = 0;
   for (auto _ : state) {
-    uint64_t sum = 0;
-    if (backend == StorageBackend::kInMemory) {
-      // The in-memory "backend" has no paged open: its cold start is the
-      // materializing load.
-      Result<BlasSystem> sys = BlasSystem::FromIndexFile(corpus.blas1_path);
-      if (!sys.ok()) {
-        state.SkipWithError(sys.status().ToString().c_str());
-        return;
-      }
-      sum = ScanAllPages(sys->store().pool());
-      pages = sys->store().pool().page_count();
-    } else {
-      Result<BlasSystem> sys =
-          BlasSystem::OpenPaged(corpus.blas2_path, ScanStorage(backend));
-      if (!sys.ok()) {
-        state.SkipWithError(sys.status().ToString().c_str());
-        return;
-      }
-      sum = ScanAllPages(sys->store().pool());
-      pages = sys->store().pool().page_count();
+    Result<BlasSystem> sys =
+        BlasSystem::OpenPaged(corpus.blas2_path, ScanStorage(backend));
+    if (!sys.ok()) {
+      state.SkipWithError(sys.status().ToString().c_str());
+      return;
     }
+    const uint64_t sum = ScanAllPages(sys->store().pool());
+    pages = sys->store().pool().page_count();
     benchmark::DoNotOptimize(sum);
   }
   state.counters["backend"] = BackendCounter(backend);
@@ -213,7 +179,6 @@ void BM_ColdQueryMemory(benchmark::State& state, const std::string& xpath) {
 int main(int argc, char** argv) {
   using blas::StorageBackend;
   using blas::bench::BM_ColdOpenFirstScan;
-  using blas::bench::BM_ColdOpenMaterialized;
   using blas::bench::BM_ColdOpenPaged;
   using blas::bench::BM_ColdQueryMemory;
   using blas::bench::BM_ColdQueryPaged;
@@ -230,16 +195,8 @@ int main(int argc, char** argv) {
         })
         ->Unit(benchmark::kMillisecond);
   }
-  benchmark::RegisterBenchmark("ColdOpenMaterialized",
-                               BM_ColdOpenMaterialized)
-      ->Unit(benchmark::kMillisecond);
 
-  const std::pair<const char*, StorageBackend> scan_backends[] = {
-      {"inmem", StorageBackend::kInMemory},
-      {"pread", StorageBackend::kPread},
-      {"mmap", StorageBackend::kMmap},
-  };
-  for (const auto& [name, backend] : scan_backends) {
+  for (const auto& [name, backend] : backends) {
     benchmark::RegisterBenchmark(
         (std::string("ColdOpenFirstScan/") + name).c_str(),
         [backend = backend](benchmark::State& state) {

@@ -1,5 +1,5 @@
 // Regenerates the checked-in seed corpora under fuzz/corpus/. Run from
-// the repo root after changing either on-disk format:
+// the repo root after changing an on-disk format:
 //
 //   ./build/fuzz_make_corpus fuzz/corpus
 //
@@ -96,6 +96,12 @@ void MakeManifestCorpus(const std::string& dir) {
   WriteFile(dir + "/bad_magic.bin", bad_magic);
 }
 
+/// A document with a 9,000-byte text node between two small ones.
+std::string OverflowXml() {
+  return "<doc><a k=\"v\">x</a><big>" + std::string(9000, 'z') +
+         "</big><a>y</a></doc>";
+}
+
 void MakeBlasidx2Corpus(const std::string& dir) {
   Mkdir(dir);
   const char* xml =
@@ -128,6 +134,27 @@ void MakeBlasidx2Corpus(const std::string& dir) {
   std::string bad_directory = valid;
   bad_directory[80] ^= 0x55;
   WriteFile(dir + "/bad_directory.bin", bad_directory);
+
+  // A value longer than one page, so the seed reaches an overflow run.
+  blas::Result<blas::BlasSystem> big =
+      blas::BlasSystem::FromXml(OverflowXml(), {});
+  if (!big.ok()) {
+    std::fprintf(stderr, "FromXml: %s\n", big.status().ToString().c_str());
+    std::exit(1);
+  }
+  saved = big.value().SavePagedIndex(dir + "/overflow_value.bin");
+  if (!saved.ok()) {
+    std::fprintf(stderr, "SavePagedIndex: %s\n", saved.ToString().c_str());
+    std::exit(1);
+  }
+}
+
+void MakeXmlIngestCorpus(const std::string& dir) {
+  Mkdir(dir);
+  WriteFile(dir + "/small_doc.bin",
+            "<site><person id=\"p0\"><name>alice</name></person>"
+            "<person id=\"p1\"><name>bob</name></person></site>");
+  WriteFile(dir + "/overflow_text.bin", OverflowXml());
 }
 
 }  // namespace
@@ -137,6 +164,7 @@ int main(int argc, char** argv) {
   Mkdir(root);
   MakeManifestCorpus(root + "/manifest");
   MakeBlasidx2Corpus(root + "/blasidx2");
+  MakeXmlIngestCorpus(root + "/xml_ingest");
   std::printf("corpus written under %s\n", root.c_str());
   return 0;
 }

@@ -2,9 +2,6 @@
 
 #include <utility>
 
-#include <algorithm>
-#include <map>
-
 #include "common/stopwatch.h"
 #include "exec/optimizer.h"
 #include "labeling/labeler.h"
@@ -147,76 +144,6 @@ Result<BlasSystem> BlasSystem::OpenPaged(const std::string& path,
                                            index.store_meta, storage);
   sys.dict_ = std::make_unique<StringDict>();
   sys.dict_->AttachPaged(&sys.store_->pool(), std::move(index.dict_layout));
-  return sys;
-}
-
-Status BlasSystem::SaveIndex(const std::string& path) const {
-  IndexSnapshot snapshot;
-  snapshot.tags.reserve(tags_->size());
-  for (TagId id = 1; id <= tags_->size(); ++id) {
-    snapshot.tags.push_back(tags_->Name(id));
-  }
-  snapshot.max_depth = max_depth_;
-  snapshot.records = store_->ExportRecords();
-  snapshot.values.reserve(dict_->size());
-  for (uint32_t id = 0; id < dict_->size(); ++id) {
-    snapshot.values.push_back(dict_->Get(id));
-  }
-  return SaveSnapshot(snapshot, path);
-}
-
-Result<BlasSystem> BlasSystem::FromIndexFile(const std::string& path,
-                                             const BlasOptions& options) {
-  BLAS_ASSIGN_OR_RETURN(IndexSnapshot snapshot, LoadSnapshot(path));
-  if (snapshot.records.empty()) {
-    return Status::Corruption("index file has no records: " + path);
-  }
-
-  BlasSystem sys;
-  sys.tags_ = std::make_unique<TagRegistry>();
-  for (const std::string& tag : snapshot.tags) sys.tags_->Intern(tag);
-  sys.tags_->Freeze();
-  sys.max_depth_ = snapshot.max_depth;
-  sys.node_count_ = snapshot.records.size();
-
-  BLAS_ASSIGN_OR_RETURN(
-      PLabelCodec codec,
-      PLabelCodec::Create(sys.tags_->size(), snapshot.max_depth));
-  sys.codec_ = std::make_unique<PLabelCodec>(std::move(codec));
-
-  sys.dict_ = std::make_unique<StringDict>();
-  for (const std::string& value : snapshot.values) {
-    sys.dict_->Intern(value);
-  }
-
-  // Rebuild the path summary from the persisted labels: each distinct
-  // P-label decodes to exactly one simple path (definition 3.3).
-  sys.summary_ = std::make_unique<PathSummary>();
-  std::map<PLabel, uint64_t> path_counts;
-  for (const NodeRecord& rec : snapshot.records) {
-    if (rec.level > snapshot.max_depth || rec.level < 1 ||
-        rec.tag > sys.tags_->size()) {
-      return Status::Corruption("record out of range in " + path);
-    }
-    path_counts[rec.plabel]++;
-  }
-  for (const auto& [plabel, count] : path_counts) {
-    std::vector<TagId> tags = sys.codec_->DecodePath(plabel);
-    if (tags.empty()) return Status::Corruption("undecodable label");
-    SummaryNode* node = sys.summary_->mutable_root();
-    PLabel running = 0;
-    for (size_t i = 0; i < tags.size(); ++i) {
-      running = i == 0 ? sys.codec_->RootLabel(tags[i])
-                       : sys.codec_->ChildLabel(running, tags[i]);
-      node = sys.summary_->Extend(node, tags[i], running,
-                                  sys.tags_->IsAttribute(tags[i]));
-    }
-    node->count += count;
-  }
-
-  sys.store_ = std::make_unique<NodeStore>(snapshot.records,
-                                           options.cache_pages,
-                                           options.cache_shards);
   return sys;
 }
 

@@ -75,13 +75,6 @@ class BlasSystem {
       const std::function<void(SaxHandler*)>& emit,
       const BlasOptions& options = {});
 
-  /// Reopens a system from an index file written by SaveIndex (or, via
-  /// full materialization, one written by SavePagedIndex). No XML
-  /// re-parse happens: the store, codec, dictionary and path summary are
-  /// rebuilt from the persisted records. The DOM is not available.
-  static Result<BlasSystem> FromIndexFile(const std::string& path,
-                                          const BlasOptions& options = {});
-
   /// Opens a BLASIDX2 snapshot written by SavePagedIndex as a
   /// demand-paged system: O(1) in document size (header + schema-sized
   /// segments only), with index pages — and dictionary values — read
@@ -91,11 +84,8 @@ class BlasSystem {
   static Result<BlasSystem> OpenPaged(const std::string& path,
                                       const StorageOptions& storage = {});
 
-  /// Persists the index (records, tags, dictionary) to `path`.
-  Status SaveIndex(const std::string& path) const;
-
-  /// Persists the index in the page-aligned BLASIDX2 format that
-  /// OpenPaged can serve without materializing it.
+  /// Persists the index (trees, tags, dictionary, path summary) in the
+  /// page-aligned BLASIDX2 format that OpenPaged serves.
   Status SavePagedIndex(const std::string& path) const;
 
   BlasSystem(BlasSystem&&) = default;

@@ -37,16 +37,6 @@ Status BlasCollection::AddEvents(
   return Status::OK();
 }
 
-Status BlasCollection::AddIndexFile(const std::string& name,
-                                    const std::string& path,
-                                    const BlasOptions& options) {
-  if (docs_.count(name) != 0) return DuplicateName(name);
-  BLAS_ASSIGN_OR_RETURN(BlasSystem sys,
-                        BlasSystem::FromIndexFile(path, options));
-  docs_.emplace(name, std::make_shared<BlasSystem>(std::move(sys)));
-  return Status::OK();
-}
-
 Status BlasCollection::AddPagedIndexFile(const std::string& name,
                                          const std::string& path,
                                          const StorageOptions& storage) {

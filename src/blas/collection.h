@@ -68,9 +68,6 @@ class BlasCollection {
   Status AddEvents(const std::string& name,
                    const std::function<void(SaxHandler*)>& emit,
                    const BlasOptions& options = {});
-  /// Adds a document from a persisted index file.
-  Status AddIndexFile(const std::string& name, const std::string& path,
-                      const BlasOptions& options = {});
   /// Adds a document from a BLASIDX2 paged snapshot, opened lazily (O(1)
   /// in document size; pages fault in as queries touch them). Pass the
   /// same `storage.shared_budget` for every member so the whole

@@ -191,13 +191,6 @@ const NodeRecord* NodeStore::DocScan::Next() {
   return Step();
 }
 
-std::vector<NodeRecord> NodeStore::ExportRecords() const {
-  std::vector<NodeRecord> out;
-  out.reserve(count_);
-  sp_.ForEachRecord([&](const NodeRecord& rec) { out.push_back(rec); });
-  return out;
-}
-
 StorageStats NodeStore::stats() const {
   StorageStats s;
   s.elements = elements_.load(std::memory_order_relaxed);

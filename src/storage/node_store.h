@@ -278,10 +278,6 @@ class NodeStore {
   /// True when this store pages from a snapshot file.
   bool paged() const { return pool_.paged(); }
 
-  /// All records in (plabel, start) order, without touching the counters
-  /// (index export / persistence).
-  std::vector<NodeRecord> ExportRecords() const;
-
   /// Snapshot of counters accumulated since the last ResetStats().
   StorageStats stats() const;
   void ResetStats();

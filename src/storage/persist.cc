@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cassert>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -16,7 +15,6 @@ namespace blas {
 
 namespace {
 
-constexpr char kMagic[8] = {'B', 'L', 'A', 'S', 'I', 'D', 'X', '1'};
 constexpr char kMagic2[8] = {'B', 'L', 'A', 'S', 'I', 'D', 'X', '2'};
 constexpr uint32_t kVersion2 = 1;
 /// Written in native byte order: a snapshot produced by a different
@@ -24,14 +22,6 @@ constexpr uint32_t kVersion2 = 1;
 /// are raw native layout, so misreading them must be impossible).
 constexpr uint32_t kEndianProbe = 0x01020304u;
 constexpr uint32_t kNoParent = 0xFFFFFFFFu;
-/// Largest value a paged dictionary page can hold alone:
-/// header (8) + two offsets (8) + the bytes.
-constexpr size_t kMaxPagedValue = kPageSize - 16;
-
-/// On-disk bytes of one fixed-width BLAS1 node record: two 64-bit P-label
-/// halves plus five 32-bit fields (start, end, tag, level, data).
-constexpr uint64_t kRecordBytes = 8 + 8 + 5 * 4;
-
 /// Bytes of one flattened summary entry (parent u32, tag u32, count u64).
 constexpr uint64_t kSummaryEntryBytes = 16;
 
@@ -126,47 +116,6 @@ void WriteString(AtomicFile& os, const std::string& s) {
   os.Write(s.data(), s.size());
 }
 
-// ------------------------------------------------------- BLAS1 reading ---
-
-bool ReadU32(std::istream& is, uint32_t* v) {
-  char buf[4];
-  if (!is.read(buf, 4)) return false;
-  *v = 0;
-  for (int i = 3; i >= 0; --i) {
-    *v = (*v << 8) | static_cast<uint8_t>(buf[i]);
-  }
-  return true;
-}
-
-bool ReadU64(std::istream& is, uint64_t* v) {
-  char buf[8];
-  if (!is.read(buf, 8)) return false;
-  *v = 0;
-  for (int i = 7; i >= 0; --i) {
-    *v = (*v << 8) | static_cast<uint8_t>(buf[i]);
-  }
-  return true;
-}
-
-/// Bytes between the stream position and the end of the file (the size is
-/// measured once at open). Every count and length in the header is
-/// preflighted against this before anything is allocated.
-uint64_t BytesLeft(std::istream& is, uint64_t file_size) {
-  const std::streamoff pos = is.tellg();
-  if (pos < 0 || static_cast<uint64_t>(pos) > file_size) return 0;
-  return file_size - static_cast<uint64_t>(pos);
-}
-
-bool ReadString(std::istream& is, uint64_t file_size, std::string* s) {
-  uint32_t len;
-  if (!ReadU32(is, &len)) return false;
-  // A length that overruns the file is corruption, caught before the
-  // resize allocates.
-  if (len > BytesLeft(is, file_size)) return false;
-  s->resize(len);
-  return static_cast<bool>(is.read(s->data(), len));
-}
-
 /// Little-endian readers over an in-memory buffer (the BLASIDX2 header).
 class BufReader {
  public:
@@ -207,9 +156,6 @@ class BufReader {
 
 // --------------------------------------------- BLASIDX2 shared helpers ---
 
-/// Leaf layout of the SP tree — the one whose chain materializes records.
-using SpLeaf = BPlusTree<NodeRecord, SpKey, SpKeyOf>::LeafNode;
-
 struct TailSegment {
   uint64_t first_page = 0;  // file page index
   uint64_t page_count = 0;
@@ -230,6 +176,7 @@ struct Header2 {
   uint32_t first_perm_page = 0;
   uint32_t perm_page_count = 0;
   TailSegment tags, summary, value_index;
+  uint32_t overflow_page_count = 0;
 };
 
 void WriteTreeMeta(AtomicFile& os, const BPlusTreeMeta& m) {
@@ -267,14 +214,17 @@ bool ReadTailSegment(BufReader& r, TailSegment* s) {
 
 uint64_t PagesFor(uint64_t bytes) { return (bytes + kPageSize - 1) / kPageSize; }
 
-/// Packs dictionary values (in id order) into value pages. Returns false
-/// when a single value cannot fit one page.
-bool BuildValuePages(const StringDict& dict, std::vector<Page>* pages,
-                     std::vector<uint32_t>* first_ids) {
+/// Packs dictionary values (in id order) into value pages. A value longer
+/// than kMaxPackedValue gets a value page of its own holding an
+/// OverflowRef, and its bytes go to a contiguous run of `overflow` pages.
+/// Without such a value the pages are exactly the packed pages alone.
+void BuildValuePages(const StringDict& dict, std::vector<Page>* pages,
+                     std::vector<uint32_t>* first_ids,
+                     std::vector<Page>* overflow) {
   std::vector<uint32_t> lens;  // current page's value sizes
   uint32_t page_first = 0;
   size_t byte_total = 0;
-  auto flush = [&](uint32_t next_first) {
+  auto flush = [&] {
     Page page{};
     auto* header = page.As<ValuePageHeader>();
     header->count = static_cast<uint32_t>(lens.size());
@@ -295,23 +245,47 @@ bool BuildValuePages(const StringDict& dict, std::vector<Page>* pages,
     pages->push_back(page);
     lens.clear();
     byte_total = 0;
-    page_first = next_first;
   };
 
   for (uint32_t id = 0; id < dict.size(); ++id) {
-    const size_t len = dict.Get(id).size();
-    if (len > kMaxPagedValue) return false;
+    const std::string& value = dict.Get(id);
+    const size_t len = value.size();
+    if (len > kMaxPackedValue) {
+      if (!lens.empty()) flush();
+      Page ref_page{};
+      auto* header = ref_page.As<ValuePageHeader>();
+      header->count = 0;
+      header->first_id = id;
+      const OverflowRef run{
+          static_cast<uint32_t>(overflow->size()),
+          static_cast<uint32_t>((len + kOverflowPayload - 1) /
+                                kOverflowPayload),
+          len};
+      std::memcpy(ref_page.bytes.data() + sizeof(ValuePageHeader), &run,
+                  sizeof(run));
+      for (size_t at = 0; at < len; at += kOverflowPayload) {
+        Page page{};
+        page.As<OverflowPageHeader>()->value_id = id;
+        std::memcpy(page.bytes.data() + sizeof(OverflowPageHeader),
+                    value.data() + at,
+                    std::min<size_t>(kOverflowPayload, len - at));
+        overflow->push_back(page);
+      }
+      first_ids->push_back(id);
+      pages->push_back(ref_page);
+      continue;
+    }
     // Fits if header + (count+2) offsets + bytes stay within the page.
     if (!lens.empty() &&
         sizeof(ValuePageHeader) + (lens.size() + 2) * 4 + byte_total + len >
             kPageSize) {
-      flush(id);
+      flush();
     }
+    if (lens.empty()) page_first = id;
     lens.push_back(static_cast<uint32_t>(len));
     byte_total += len;
   }
-  if (!lens.empty()) flush(0);
-  return true;
+  if (!lens.empty()) flush();
 }
 
 Status CorruptPaged(const std::string& path, const std::string& what) {
@@ -319,37 +293,6 @@ Status CorruptPaged(const std::string& path, const std::string& what) {
 }
 
 }  // namespace
-
-// --------------------------------------------------------- BLAS1 write ---
-
-Status SaveSnapshot(const IndexSnapshot& snapshot, const std::string& path) {
-  AtomicFile os(path);
-  if (!os.open()) {
-    return Status::InvalidArgument("cannot open for write: " + path +
-                                   ".tmp");
-  }
-
-  os.Write(kMagic, sizeof(kMagic));
-  WriteU32(os, static_cast<uint32_t>(snapshot.tags.size()));
-  for (const std::string& tag : snapshot.tags) WriteString(os, tag);
-  WriteU32(os, static_cast<uint32_t>(snapshot.max_depth));
-
-  WriteU64(os, snapshot.records.size());
-  for (const NodeRecord& rec : snapshot.records) {
-    WriteU64(os, static_cast<uint64_t>(rec.plabel >> 64));
-    WriteU64(os, static_cast<uint64_t>(rec.plabel));
-    WriteU32(os, rec.start);
-    WriteU32(os, rec.end);
-    WriteU32(os, rec.tag);
-    WriteU32(os, static_cast<uint32_t>(rec.level));
-    WriteU32(os, rec.data);
-  }
-
-  WriteU64(os, snapshot.values.size());
-  for (const std::string& value : snapshot.values) WriteString(os, value);
-
-  return os.Commit();
-}
 
 // ------------------------------------------------------ BLASIDX2 write ---
 
@@ -363,10 +306,8 @@ Status SavePagedSnapshot(const PagedSnapshotParts& parts,
   // Lay the dictionary out into value pages + the sorted-id permutation.
   std::vector<Page> value_pages;
   std::vector<uint32_t> first_ids;
-  if (!BuildValuePages(dict, &value_pages, &first_ids)) {
-    return Status::Unsupported(
-        "a dictionary value exceeds one page; use the BLAS1 format");
-  }
+  std::vector<Page> overflow_pages;
+  BuildValuePages(dict, &value_pages, &first_ids, &overflow_pages);
   std::vector<uint32_t> perm(dict.size());
   std::iota(perm.begin(), perm.end(), 0);
   std::sort(perm.begin(), perm.end(), [&dict](uint32_t a, uint32_t b) {
@@ -409,7 +350,7 @@ Status SavePagedSnapshot(const PagedSnapshotParts& parts,
 
   const uint64_t tree_pages = store_meta.tree_pages;
   const uint64_t pool_pages =
-      tree_pages + value_pages.size() + perm_pages;
+      tree_pages + value_pages.size() + overflow_pages.size() + perm_pages;
   TailSegment tag_seg{1 + pool_pages, PagesFor(tag_bytes), tag_bytes};
   TailSegment sum_seg{tag_seg.first_page + tag_seg.page_count,
                       PagesFor(summary_bytes), summary_bytes};
@@ -443,11 +384,13 @@ Status SavePagedSnapshot(const PagedSnapshotParts& parts,
   WriteTreeMeta(os, store_meta.doc);
   WriteU32(os, static_cast<uint32_t>(tree_pages));
   WriteU32(os, static_cast<uint32_t>(value_pages.size()));
-  WriteU32(os, static_cast<uint32_t>(tree_pages + value_pages.size()));
+  WriteU32(os, static_cast<uint32_t>(tree_pages + value_pages.size() +
+                                     overflow_pages.size()));
   WriteU32(os, static_cast<uint32_t>(perm_pages));
   WriteTailSegment(os, tag_seg);
   WriteTailSegment(os, sum_seg);
   WriteTailSegment(os, vpi_seg);
+  WriteU32(os, static_cast<uint32_t>(overflow_pages.size()));
   os.PadToPage();
 
   // --- pool pages: the four trees, raw ---
@@ -458,6 +401,10 @@ Status SavePagedSnapshot(const PagedSnapshotParts& parts,
   }
   // --- pool pages: value dictionary ---
   for (const Page& page : value_pages) {
+    os.Write(page.bytes.data(), kPageSize);
+  }
+  // --- pool pages: overflow runs of oversized values ---
+  for (const Page& page : overflow_pages) {
     os.Write(page.bytes.data(), kPageSize);
   }
   // --- pool pages: sorted-id permutation ---
@@ -543,7 +490,8 @@ Result<PagedIndex> OpenPagedSnapshot(const std::string& path) {
   if (!r.U32(&h.first_value_page) || !r.U32(&h.value_page_count) ||
       !r.U32(&h.first_perm_page) || !r.U32(&h.perm_page_count) ||
       !ReadTailSegment(r, &h.tags) || !ReadTailSegment(r, &h.summary) ||
-      !ReadTailSegment(r, &h.value_index)) {
+      !ReadTailSegment(r, &h.value_index) ||
+      !r.U32(&h.overflow_page_count)) {
     return CorruptPaged(path, "truncated segment directory");
   }
 
@@ -595,7 +543,8 @@ Result<PagedIndex> OpenPagedSnapshot(const std::string& path) {
   }
   // The dictionary segments must follow the trees and fill the pool.
   if (h.first_value_page != tree_pages ||
-      uint64_t{h.first_value_page} + h.value_page_count !=
+      uint64_t{h.first_value_page} + h.value_page_count +
+              h.overflow_page_count !=
           h.first_perm_page ||
       uint64_t{h.first_perm_page} + h.perm_page_count != h.pool_pages) {
     return CorruptPaged(path, "dictionary segments do not tile the pool");
@@ -638,6 +587,9 @@ Result<PagedIndex> OpenPagedSnapshot(const std::string& path) {
   index.dict_layout.count = h.value_count;
   index.dict_layout.first_value_page = h.first_value_page;
   index.dict_layout.value_page_count = h.value_page_count;
+  index.dict_layout.first_overflow_page =
+      h.first_value_page + h.value_page_count;
+  index.dict_layout.overflow_page_count = h.overflow_page_count;
   index.dict_layout.first_perm_page = h.first_perm_page;
   index.dict_layout.perm_page_count = h.perm_page_count;
 
@@ -716,144 +668,6 @@ Result<PagedIndex> OpenPagedSnapshot(const std::string& path) {
   }
 
   return index;
-}
-
-// ------------------------------------------------------- BLAS1 loading ---
-
-namespace {
-
-/// Full materialization of a BLASIDX2 snapshot into an IndexSnapshot —
-/// the FromIndexFile compatibility path (everything in memory, no paging).
-Result<IndexSnapshot> MaterializePagedSnapshot(const std::string& path) {
-  BLAS_ASSIGN_OR_RETURN(PagedIndex index, OpenPagedSnapshot(path));
-  BLAS_ASSIGN_OR_RETURN(PagedFile pool, index.OpenPool());
-
-  IndexSnapshot snapshot;
-  snapshot.tags = std::move(index.tags);
-  snapshot.max_depth = index.max_depth;
-
-  // Walk the SP tree's leaf chain; every record lives there exactly once.
-  snapshot.records.reserve(index.node_count);
-  const BPlusTreeMeta& sp = index.store_meta.sp;
-  const uint64_t sp_end = uint64_t{sp.first_page} + sp.page_count;
-  Page page;
-  PageId pid = sp.first_leaf;
-  uint64_t pages_walked = 0;
-  while (pid != kInvalidPage) {
-    if (pid < sp.first_page || pid >= sp_end ||
-        ++pages_walked > sp.page_count) {
-      return CorruptPaged(path, "leaf chain escapes the sp segment");
-    }
-    BLAS_RETURN_NOT_OK(pool.Read(pid, &page));
-    const auto* leaf = reinterpret_cast<const SpLeaf*>(page.bytes.data());
-    using SpTree = BPlusTree<NodeRecord, SpKey, SpKeyOf>;
-    if (leaf->is_leaf != 1 || leaf->count == 0 ||
-        leaf->count > SpTree::kLeafCap ||
-        snapshot.records.size() + leaf->count > index.node_count) {
-      return CorruptPaged(path, "implausible leaf node");
-    }
-    snapshot.records.insert(snapshot.records.end(), leaf->records,
-                            leaf->records + leaf->count);
-    pid = leaf->next;
-  }
-  if (snapshot.records.size() != index.node_count) {
-    return CorruptPaged(path, "leaf chain shorter than record count");
-  }
-
-  // Decode every value page.
-  snapshot.values.reserve(index.dict_layout.count);
-  for (uint32_t i = 0; i < index.dict_layout.value_page_count; ++i) {
-    BLAS_RETURN_NOT_OK(
-        pool.Read(index.dict_layout.first_value_page + i, &page));
-    if (!DecodeValuePage(page, index.dict_layout.page_first_ids[i],
-                         index.dict_layout.count, &snapshot.values)) {
-      return CorruptPaged(path, "corrupt value page");
-    }
-  }
-  if (snapshot.values.size() != index.dict_layout.count) {
-    return CorruptPaged(path, "value pages shorter than value count");
-  }
-  return snapshot;
-}
-
-}  // namespace
-
-Result<IndexSnapshot> LoadSnapshot(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Status::NotFound("cannot open: " + path);
-
-  // Measure the file once; every untrusted count below is checked against
-  // the bytes actually present before any allocation sized by it.
-  is.seekg(0, std::ios::end);
-  const std::streamoff end_pos = is.tellg();
-  if (end_pos < 0) return Status::Corruption("unsizable file: " + path);
-  const uint64_t file_size = static_cast<uint64_t>(end_pos);
-  is.seekg(0, std::ios::beg);
-
-  char magic[8];
-  if (!is.read(magic, 8)) {
-    return Status::Corruption("bad magic in " + path);
-  }
-  if (std::memcmp(magic, kMagic2, 8) == 0) {
-    is.close();
-    return MaterializePagedSnapshot(path);
-  }
-  if (std::memcmp(magic, kMagic, 8) != 0) {
-    return Status::Corruption("bad magic in " + path);
-  }
-
-  IndexSnapshot snapshot;
-  uint32_t num_tags;
-  // Each tag costs at least its 4-byte length prefix.
-  if (!ReadU32(is, &num_tags) ||
-      uint64_t{num_tags} * 4 > BytesLeft(is, file_size)) {
-    return Status::Corruption("bad tag count in " + path);
-  }
-  snapshot.tags.resize(num_tags);
-  for (std::string& tag : snapshot.tags) {
-    if (!ReadString(is, file_size, &tag)) {
-      return Status::Corruption("truncated tags");
-    }
-  }
-  uint32_t depth;
-  if (!ReadU32(is, &depth) || depth > 100000) {
-    return Status::Corruption("bad depth");
-  }
-  snapshot.max_depth = static_cast<int>(depth);
-
-  uint64_t num_records;
-  // An overstated count would otherwise resize() to a multi-TB buffer; a
-  // record is fixed-width, so the exact remaining-byte bound is known.
-  if (!ReadU64(is, &num_records) ||
-      num_records > BytesLeft(is, file_size) / kRecordBytes) {
-    return Status::Corruption("bad record count");
-  }
-  snapshot.records.resize(num_records);
-  for (NodeRecord& rec : snapshot.records) {
-    uint64_t hi, lo;
-    uint32_t level;
-    if (!ReadU64(is, &hi) || !ReadU64(is, &lo) || !ReadU32(is, &rec.start) ||
-        !ReadU32(is, &rec.end) || !ReadU32(is, &rec.tag) ||
-        !ReadU32(is, &level) || !ReadU32(is, &rec.data)) {
-      return Status::Corruption("truncated records");
-    }
-    rec.plabel = (static_cast<u128>(hi) << 64) | lo;
-    rec.level = static_cast<int32_t>(level);
-  }
-
-  uint64_t num_values;
-  // Same preflight: each value costs at least its 4-byte length prefix.
-  if (!ReadU64(is, &num_values) ||
-      num_values > BytesLeft(is, file_size) / 4) {
-    return Status::Corruption("bad value count");
-  }
-  snapshot.values.resize(num_values);
-  for (std::string& value : snapshot.values) {
-    if (!ReadString(is, file_size, &value)) {
-      return Status::Corruption("truncated values");
-    }
-  }
-  return snapshot;
 }
 
 }  // namespace blas

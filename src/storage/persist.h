@@ -6,7 +6,6 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "labeling/node_record.h"
 #include "labeling/tag_registry.h"
 #include "schema/path_summary.h"
 #include "storage/node_store.h"
@@ -14,49 +13,10 @@
 
 namespace blas {
 
-/// \brief Serializable form of a BLAS index: everything the index
-/// generator produced, sufficient to rebuild the node store, codec, value
-/// dictionary and path summary without re-parsing the XML.
-struct IndexSnapshot {
-  /// Tag names in id order (id = position + 1; id 0 is "/").
-  std::vector<std::string> tags;
-  /// Maximum document depth (sizes the P-label codec).
-  int max_depth = 0;
-  /// All node records (any order).
-  std::vector<NodeRecord> records;
-  /// Dictionary values in id order.
-  std::vector<std::string> values;
-};
-
-/// Writes a snapshot to `path` in the BLAS1 binary format (little-endian,
-/// fixed-width lengths; P-labels stored as two 64-bit halves).
-///
-/// Crash safety (both this writer and SavePagedSnapshot): the bytes go to
-/// `path + ".tmp"`, are flushed and fsync'ed, and only then atomically
-/// renamed over `path` — a crash mid-write leaves the previous good
-/// snapshot untouched; the stale .tmp is simply overwritten next time.
-Status SaveSnapshot(const IndexSnapshot& snapshot, const std::string& path);
-
-/// Reads a snapshot written by SaveSnapshot — or, compatibly, fully
-/// materializes a BLASIDX2 paged snapshot (walking its page segments into
-/// an IndexSnapshot). Fails with Corruption on magic/version mismatch or
-/// truncated input.
-///
-/// BLAS1 validation rules: every count and length in the file is
-/// untrusted until proven affordable. The loader measures the file size
-/// once (a single seek to the end), then before any allocation it checks
-/// that
-///   * the tag count and value count each fit in the remaining bytes at
-///     4 bytes minimum per entry (the length prefix),
-///   * the record count fits at the fixed 36 bytes per record,
-///   * each string's length prefix does not overrun the bytes left.
-/// A corrupt or overstated header therefore fails with Status::Corruption
-/// immediately instead of attempting a multi-terabyte resize(); truncated
-/// payloads are caught by the subsequent bounded reads.
-Result<IndexSnapshot> LoadSnapshot(const std::string& path);
-
 // ------------------------------------------------------------------------
-// BLASIDX2 — the page-aligned, demand-pageable snapshot format.
+// BLASIDX2 — the page-aligned, demand-pageable snapshot format, and the
+// one on-disk format of a BLAS index: live ingestion writes it, OpenPaged
+// serves it.
 //
 // Layout (all regions page-granular; any page addressable by
 // (segment, index) without reading the rest of the file):
@@ -69,6 +29,10 @@ Result<IndexSnapshot> LoadSnapshot(const std::string& path);
 //                                          recorded in its tree meta
 //                          [value pages]   paged string dictionary
 //                                          (see PagedDictLayout)
+//                          [overflow pages] bytes of values too long for
+//                                          one value page, each in a
+//                                          contiguous run referenced by
+//                                          a value page of its own
 //                          [perm pages]    value ids sorted by string —
 //                                          Find's binary-search index
 //   trailing file pages  eagerly-loaded byte segments, each starting on
@@ -86,8 +50,12 @@ Result<IndexSnapshot> LoadSnapshot(const std::string& path);
 // composite key sizes (tree pages are stored in native layout — a
 // snapshot is rejected, not misread, on an ABI mismatch), node/tag/value
 // counts, max_depth, pool_pages, the four tree metas (root, first leaf,
-// size, height, pool page range) and the segment directory (file-page
-// first/count + exact byte length per segment).
+// size, height, pool page range), the segment directory (file-page
+// first/count + exact byte length per segment) and, last, the overflow
+// segment's page count, which is zero in a snapshot without an oversized
+// value. Readers that predate the overflow segment ignore the field, so
+// they open such a snapshot unchanged and reject one with overflow pages
+// (its dictionary segments do not tile the pool without them).
 //
 // Validation rules (checked by OpenPagedSnapshot before anything sized by
 // the file is allocated, and before any data page is trusted):
@@ -99,14 +67,19 @@ Result<IndexSnapshot> LoadSnapshot(const std::string& path);
 //   * tree metas must lie inside the tree segment: page ranges in
 //     bounds, root/first_leaf inside the tree's own range (or invalid
 //     iff the tree is empty), height <= 64, size == node_count;
-//   * the value/perm segments must follow the tree segment exactly and
-//     sum (with it) to pool_pages;
+//   * the value, overflow and perm segments must follow the tree segment
+//     exactly, in that order, and sum (with it) to pool_pages;
 //   * tag table, summary and value-page-index entries must parse within
 //     their declared byte lengths; summary parents must precede their
 //     children; the value page index must start at 0 and ascend;
 //   * every count is bounded by its segment's bytes before any resize().
-// Violations fail with Status::Corruption. At run time, a page id that
-// still escapes range (and any short read) yields an empty PageRef,
+// Violations fail with Status::Corruption. Value-page payloads, overflow
+// references included, are untrusted until decode (validating them at
+// open would read every value page and make the open O(data)): a run
+// must lie inside the overflow segment, its byte length within the run's
+// payload bytes, and each of its pages must name the value as its owner,
+// or the value decodes as empty (see StringDict). At run time, a page id
+// that still escapes range (and any short read) yields an empty PageRef,
 // which scans treat as end-of-data — never UB.
 //
 // mmap validity rules (StorageBackend::kMmap serves these files as one
@@ -170,9 +143,10 @@ struct PagedSnapshotParts {
   int max_depth = 0;
 };
 
-/// Writes a BLASIDX2 paged snapshot (atomically, like SaveSnapshot).
-/// Fails with Unsupported if a single dictionary value exceeds one page's
-/// payload (such corpora must use the BLAS1 format).
+/// Writes a BLASIDX2 paged snapshot. Crash safety: the bytes go to
+/// `path + ".tmp"`, are flushed and fsync'ed, and only then atomically
+/// renamed over `path` — a crash mid-write leaves the previous good
+/// snapshot untouched; the stale .tmp is simply overwritten next time.
 Status SavePagedSnapshot(const PagedSnapshotParts& parts,
                          const std::string& path);
 

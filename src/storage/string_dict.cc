@@ -11,8 +11,11 @@ namespace {
 
 const std::string kEmptyValue;
 
-}  // namespace
-
+/// Validates and decodes one packed value page, appending its strings to
+/// `out`: the count is capped by the page's capacity, first_id must match
+/// `expected_first`, the id range must fit `value_count`, and the offsets
+/// must ascend within the page. Returns false (appending nothing) on any
+/// violation.
 bool DecodeValuePage(const Page& page, uint32_t expected_first,
                      uint64_t value_count, std::vector<std::string>* out) {
   const auto* header = page.As<ValuePageHeader>();
@@ -34,6 +37,8 @@ bool DecodeValuePage(const Page& page, uint32_t expected_first,
   }
   return true;
 }
+
+}  // namespace
 
 uint32_t StringDict::Intern(std::string_view value) {
   assert(!paged() && "Intern on a paged (immutable) dictionary");
@@ -70,26 +75,53 @@ const std::string& StringDict::PagedGet(uint32_t id) const {
   MutexLock lock(decode_mu_);
   auto cached = decoded_.find(page_index);
   if (cached == decoded_.end()) {
-    PageRef ref = pool_->Fetch(layout_.first_value_page + page_index);
-    if (!ref) {
-      assert(false && "value page unreadable");
-      return kEmptyValue;
-    }
     std::vector<std::string> page_values;
-    if (!DecodeValuePage(*ref.get(), layout_.page_first_ids[page_index],
-                         layout_.count, &page_values)) {
-      assert(false && "corrupt value page");
-      return kEmptyValue;
-    }
+    if (!DecodePage(page_index, &page_values)) return kEmptyValue;
     cached = decoded_.emplace(page_index, std::move(page_values)).first;
   }
   const std::vector<std::string>& page_values = cached->second;
   uint32_t slot = id - layout_.page_first_ids[page_index];
-  if (slot >= page_values.size()) {
-    assert(false && "value slot out of range");
-    return kEmptyValue;
-  }
+  if (slot >= page_values.size()) return kEmptyValue;
   return page_values[slot];
+}
+
+bool StringDict::DecodePage(uint32_t page_index,
+                            std::vector<std::string>* out) const {
+  const uint32_t first_id = layout_.page_first_ids[page_index];
+  OverflowRef run;
+  {
+    PageRef ref = pool_->Fetch(layout_.first_value_page + page_index);
+    if (!ref) return false;
+    const auto* header = ref->As<ValuePageHeader>();
+    if (header->count != 0) {
+      return DecodeValuePage(*ref, first_id, layout_.count, out);
+    }
+    if (header->first_id != first_id) return false;
+    std::memcpy(&run, ref->bytes.data() + sizeof(ValuePageHeader),
+                sizeof(run));
+  }  // the reference page's pin drops before the run is read
+  if (run.page_count == 0 ||
+      uint64_t{run.first_page} + run.page_count >
+          layout_.overflow_page_count ||
+      run.length > uint64_t{run.page_count} * kOverflowPayload) {
+    return false;
+  }
+  std::string value;
+  value.reserve(run.length);
+  for (PageId page = layout_.first_overflow_page + run.first_page;
+       value.size() < run.length; ++page) {
+    PageRef ref = pool_->Fetch(page);
+    if (!ref || ref->As<OverflowPageHeader>()->value_id != first_id) {
+      return false;
+    }
+    const size_t n =
+        std::min<uint64_t>(kOverflowPayload, run.length - value.size());
+    value.append(reinterpret_cast<const char*>(ref->bytes.data()) +
+                     sizeof(OverflowPageHeader),
+                 n);
+  }
+  out->push_back(std::move(value));
+  return true;
 }
 
 uint32_t StringDict::PermEntry(uint64_t k) const {

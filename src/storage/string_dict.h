@@ -21,6 +21,13 @@ namespace blas {
 ///     char bytes[]}`: string i of the page spans
 ///     [offsets[i], offsets[i+1]) from the page start. Values are packed
 ///     in id order, one value never split across pages.
+///   * overflow references — a value longer than one value page's payload
+///     gets a value page of its own, `{u32 count = 0; u32 first_id;
+///     OverflowRef run}`, and its bytes fill a contiguous run of overflow
+///     pages `{u32 value_id; char bytes[kOverflowPayload]}` (the last one
+///     zero-padded). Each overflow page names the value it belongs to, so
+///     two references can never share pages: the decoded values of a
+///     snapshot, however corrupt, never total more than its bytes.
 ///   * permutation pages — a flat u32 array (kPermPerPage per page) of
 ///     value ids ordered by byte-wise string comparison; `Find` binary
 ///     searches it with one page read per probe.
@@ -28,6 +35,8 @@ struct PagedDictLayout {
   uint64_t count = 0;
   PageId first_value_page = 0;
   uint32_t value_page_count = 0;
+  PageId first_overflow_page = 0;
+  uint32_t overflow_page_count = 0;
   PageId first_perm_page = 0;
   uint32_t perm_page_count = 0;
   /// First value id of each value page, in page order (loaded eagerly
@@ -37,23 +46,36 @@ struct PagedDictLayout {
 
 /// Header prefix of one paged value page.
 struct ValuePageHeader {
-  uint32_t count;
+  uint32_t count;  // 0 marks an overflow reference
   uint32_t first_id;
-  // uint32_t offsets[count + 1] follow, then the packed bytes.
+  // uint32_t offsets[count + 1] follow, then the packed bytes — or, when
+  // count == 0, one OverflowRef.
 };
 
-inline constexpr size_t kPermPerPage = kPageSize / sizeof(uint32_t);
+/// Where an oversized value's bytes live: overflow pages
+/// [first_page, first_page + page_count), relative to the overflow
+/// segment, whose payloads concatenate to at least `length` bytes; the
+/// first `length` of them are the value.
+struct OverflowRef {
+  uint32_t first_page;
+  uint32_t page_count;
+  uint64_t length;
+};
 
-/// Validates and decodes one value page, appending its strings to `out`.
-/// Page payloads are untrusted (the snapshot preflight validates the
-/// directory only): the count is capped by the page's capacity, first_id
-/// must match `expected_first`, the id range must fit `value_count`, and
-/// the offsets must ascend within the page. One shared implementation
-/// serves both read paths — the query-time paged dictionary and the
-/// materializing snapshot loader — so they accept exactly the same
-/// pages. Returns false (appending nothing) on any violation.
-bool DecodeValuePage(const Page& page, uint32_t expected_first,
-                     uint64_t value_count, std::vector<std::string>* out);
+/// Header of one overflow page: the id of the value whose run it is in.
+struct OverflowPageHeader {
+  uint32_t value_id;
+};
+
+inline constexpr size_t kOverflowPayload =
+    kPageSize - sizeof(OverflowPageHeader);
+
+/// Longest value a packed value page holds: header (8) + two offsets (8)
+/// + the bytes. Longer values go to the overflow segment.
+inline constexpr size_t kMaxPackedValue =
+    kPageSize - sizeof(ValuePageHeader) - 2 * sizeof(uint32_t);
+
+inline constexpr size_t kPermPerPage = kPageSize / sizeof(uint32_t);
 
 /// \brief Dictionary encoding for PCDATA values.
 ///
@@ -61,12 +83,16 @@ bool DecodeValuePage(const Page& page, uint32_t expected_first,
 /// value predicates become integer comparisons after one lookup.
 ///
 /// Two modes:
-///   * **In-memory** (build time and BLAS1 snapshots): all values resident,
-///     lock-free lookups.
+///   * **In-memory** (systems built from XML or events): all values
+///     resident, lock-free lookups.
 ///   * **Paged** (`AttachPaged`, BLASIDX2 snapshots): values live in
 ///     page-granular segments of the snapshot file and are read through
 ///     the store's BufferPool on demand (counted as page fetches /
-///     io_reads like any index page). Decoded pages are memoized so
+///     io_reads like any index page). An oversized value is copied out of
+///     its overflow run one page at a time, so a lookup never pins more
+///     than one frame. Page payloads are untrusted: a value page or
+///     overflow reference that fails validation decodes as the empty
+///     value, never an out-of-bounds read. Decoded pages are memoized so
 ///     `Get` can keep returning stable references. Deliberate tradeoff:
 ///     because callers hold those references indefinitely, the memo is
 ///     never evicted and is NOT charged to the frame budget — the budget
@@ -130,6 +156,10 @@ class StringDict {
 
  private:
   const std::string& PagedGet(uint32_t id) const;
+  /// Decodes value page `page_index` (or the overflow run it references)
+  /// into `out`; false when the page fails validation.
+  bool DecodePage(uint32_t page_index, std::vector<std::string>* out) const
+      BLAS_REQUIRES(decode_mu_);
   /// Entry `k` of the sorted-by-string id permutation.
   uint32_t PermEntry(uint64_t k) const;
 

@@ -165,12 +165,14 @@ TEST(CollectionTest, ExecuteShimEqualsSequentialCursorDrain) {
   EXPECT_EQ(drained->stats.page_fetches, executed->stats.page_fetches);
 }
 
-TEST(CollectionTest, AddFromIndexFile) {
+TEST(CollectionTest, AddFromPagedIndexFile) {
   BlasSystem sys = MustBuild("<a><b>x</b></a>");
-  std::string path = testing::TempDir() + "/coll.idx";
-  ASSERT_TRUE(sys.SaveIndex(path).ok());
+  std::string path = testing::TempDir() + "/coll.idx2";
+  ASSERT_TRUE(sys.SavePagedIndex(path).ok());
   BlasCollection coll;
-  ASSERT_TRUE(coll.AddIndexFile("persisted", path).ok());
+  ASSERT_TRUE(coll.AddPagedIndexFile("persisted", path).ok());
+  EXPECT_EQ(coll.AddPagedIndexFile("persisted", path).code(),
+            StatusCode::kInvalidArgument);
   Result<BlasCollection::CollectionResult> r =
       coll.Execute("//b", Translator::kUnfold, Engine::kRelational);
   ASSERT_TRUE(r.ok());

@@ -183,6 +183,46 @@ TEST(LiveCollectionTest, AddReplaceRemoveAndReopen) {
   EXPECT_EQ(Drained(**reopened, "//item/name"), final_answer);
 }
 
+TEST(LiveCollectionTest, OversizedTextNodesIngestAndReopen) {
+  // Text nodes longer than one 8 KiB page: their values go to the
+  // segment's overflow pages, which live ingestion must write and a
+  // reopen from MANIFEST must serve unchanged.
+  TempDirs dirs;
+  std::string dir = dirs.Make("oversized");
+  const std::string note_a(9000, 'n');
+  std::string note_b(100 * 1024, 'x');
+  for (size_t i = 0; i < note_b.size(); i += 97) note_b[i] = 'y';
+  const std::string xml = "<doc><note>" + note_a + "</note><tag>t</tag>"
+                          "<note>" + note_b + "</note></doc>";
+  const std::string predicate = "//note=\"" + note_b + "\"";
+  std::string answer;
+  std::string by_value;
+  {
+    Result<std::unique_ptr<LiveCollection>> open = LiveCollection::Open(dir);
+    ASSERT_TRUE(open.ok()) << open.status();
+    LiveCollection& live = **open;
+    ASSERT_TRUE(live.AddDocument("big", xml).ok());
+    ASSERT_TRUE(live.AddDocument("small", ShardXml("s", 2)).ok());
+
+    Result<BlasCollection::CollectionResult> r =
+        live.Execute("//note", ValueQuery());
+    ASSERT_TRUE(r.ok()) << r.status();
+    ASSERT_EQ(r->docs.size(), 1u);
+    ASSERT_EQ(r->docs[0].matches.size(), 2u);
+    EXPECT_TRUE(r->docs[0].matches[0].content == note_a);
+    EXPECT_TRUE(r->docs[0].matches[1].content == note_b);
+    answer = Drained(live, "//note");
+    by_value = Drained(live, predicate);
+    EXPECT_NE(by_value.find(note_b), std::string::npos);
+  }
+  Result<std::unique_ptr<LiveCollection>> reopened =
+      LiveCollection::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ((*reopened)->size(), 2u);
+  EXPECT_TRUE(Drained(**reopened, "//note") == answer);
+  EXPECT_TRUE(Drained(**reopened, predicate) == by_value);
+}
+
 TEST(LiveCollectionTest, BatchPublishesAsOneEpoch) {
   TempDirs dirs;
   Result<std::unique_ptr<LiveCollection>> open =

@@ -1,7 +1,8 @@
 // Demand-paged storage: BLASIDX2 round trips (byte-identical answers under
 // a 4-frame budget vs unlimited memory, across translators and engines),
-// real-I/O accounting, eviction bounds, BLAS1 <-> BLASIDX2 equivalence,
-// corrupt-directory preflight rejection, atomic snapshot replacement, and
+// real-I/O accounting, eviction bounds, oversized dictionary values in
+// overflow runs (pread and mmap at one frame), corrupt-directory and
+// corrupt-overflow containment, atomic snapshot replacement, and
 // DropCache/ResetStats vs concurrent readers (runs under the TSan CI job).
 //
 // The cache-pressure CI job re-runs this binary with BLAS_PAGED_FRAMES=2
@@ -21,6 +22,7 @@
 #include "gen/generator.h"
 #include "service/query_service.h"
 #include "service/thread_pool.h"
+#include "storage/page_source.h"
 #include "storage/persist.h"
 #include "tests/test_util.h"
 
@@ -215,53 +217,19 @@ TEST(PagedStorageTest, EvictionKeepsResidentFramesWithinBudget) {
   (void)before;
 }
 
-// ------------------------------------------- format interoperability ---
+// ------------------------------------------- snapshot vs original ---
 
-TEST(PagedStorageTest, Blas1AndBlas2SnapshotsAreEquivalent) {
+TEST(PagedStorageTest, PagedSnapshotMatchesOriginal) {
   BlasSystem original = BuildRandom(11);
-  std::string blas1 = TempPath("equiv.idx");
-  std::string blas2 = TempPath("equiv.idx2");
-  ASSERT_TRUE(original.SaveIndex(blas1).ok());
-  ASSERT_TRUE(original.SavePagedIndex(blas2).ok());
-
-  // LoadSnapshot materializes both formats into identical snapshots
-  // (SaveIndex exports in (plabel, start) order; the BLASIDX2 walk reads
-  // the SP leaf chain, which is the same order).
-  Result<IndexSnapshot> s1 = LoadSnapshot(blas1);
-  Result<IndexSnapshot> s2 = LoadSnapshot(blas2);
-  ASSERT_TRUE(s1.ok()) << s1.status();
-  ASSERT_TRUE(s2.ok()) << s2.status();
-  EXPECT_EQ(s1->tags, s2->tags);
-  EXPECT_EQ(s1->max_depth, s2->max_depth);
-  EXPECT_EQ(s1->values, s2->values);
-  ASSERT_EQ(s1->records.size(), s2->records.size());
-  for (size_t i = 0; i < s1->records.size(); ++i) {
-    EXPECT_EQ(s1->records[i].plabel, s2->records[i].plabel) << i;
-    EXPECT_EQ(s1->records[i].start, s2->records[i].start) << i;
-    EXPECT_EQ(s1->records[i].end, s2->records[i].end) << i;
-    EXPECT_EQ(s1->records[i].tag, s2->records[i].tag) << i;
-    EXPECT_EQ(s1->records[i].level, s2->records[i].level) << i;
-    EXPECT_EQ(s1->records[i].data, s2->records[i].data) << i;
-  }
-
-  // The BLAS1 -> BLASIDX2 round trip: materialize the old format, save
-  // paged, reopen paged — answers agree with the original system.
-  Result<BlasSystem> from1 = BlasSystem::FromIndexFile(blas1);
-  ASSERT_TRUE(from1.ok()) << from1.status();
-  std::string blas2b = TempPath("equiv_rt.idx2");
-  ASSERT_TRUE(from1->SavePagedIndex(blas2b).ok());
-  Result<BlasSystem> paged = BlasSystem::OpenPaged(blas2b, TinyBudget(4));
+  std::string path = TempPath("equiv.idx2");
+  ASSERT_TRUE(original.SavePagedIndex(path).ok());
+  Result<BlasSystem> paged = BlasSystem::OpenPaged(path, TinyBudget(4));
   ASSERT_TRUE(paged.ok()) << paged.status();
-  // FromIndexFile accepts the paged format too (full materialization).
-  Result<BlasSystem> from2 = BlasSystem::FromIndexFile(blas2);
-  ASSERT_TRUE(from2.ok()) << from2.status();
   for (const char* q : {"//t3", "/root/t1", "//t1//t4", "//t0[t1=\"v7\"]"}) {
     Result<QueryResult> a = original.Execute(q, QueryOptions{});
     Result<QueryResult> b = paged->Execute(q, QueryOptions{});
-    Result<QueryResult> c = from2->Execute(q, QueryOptions{});
-    ASSERT_TRUE(a.ok() && b.ok() && c.ok()) << q;
+    ASSERT_TRUE(a.ok() && b.ok()) << q;
     EXPECT_EQ(a->starts, b->starts) << q;
-    EXPECT_EQ(a->starts, c->starts) << q;
   }
 
   BlasSystem::DocStats da = original.doc_stats();
@@ -304,6 +272,14 @@ void PatchU32(std::string* bytes, size_t off, uint32_t v) {
   }
 }
 
+uint32_t ReadU32At(const std::string& bytes, size_t off) {
+  uint32_t v = 0;
+  for (int i = 3; i >= 0; --i) {
+    v = (v << 8) | static_cast<uint8_t>(bytes[off + i]);
+  }
+  return v;
+}
+
 void PatchU64(std::string* bytes, size_t off, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     (*bytes)[off + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
@@ -328,9 +304,6 @@ class PagedCorruptionTest : public ::testing::Test {
     if (!paged.ok()) {
       EXPECT_EQ(paged.status().code(), StatusCode::kCorruption) << what;
     }
-    // The materializing loader applies the same preflight.
-    Result<IndexSnapshot> snap = LoadSnapshot(path);
-    EXPECT_FALSE(snap.ok()) << what;
   }
 
   std::string path_;
@@ -383,11 +356,7 @@ TEST_F(PagedCorruptionTest, CorruptValuePagePayloadIsContained) {
   // The directory validates at open; page payloads are untrusted until
   // decode. A hostile count/offset array must not cause OOB reads.
   std::string bad = bytes_;
-  uint32_t first_value_page = 0;
-  for (int i = 3; i >= 0; --i) {
-    first_value_page = (first_value_page << 8) |
-                       static_cast<uint8_t>(bad[kOffFirstValuePage + i]);
-  }
+  const uint32_t first_value_page = ReadU32At(bad, kOffFirstValuePage);
   const size_t page_off = (1 + size_t{first_value_page}) * kPageSize;
   ASSERT_LT(page_off, bad.size());
   PatchU32(&bad, page_off, 0xFFFFFFFFu);  // count
@@ -395,12 +364,6 @@ TEST_F(PagedCorruptionTest, CorruptValuePagePayloadIsContained) {
   std::string path = TempPath("corrupt_value_page.idx2");
   WriteFile(path, bad);
 
-  // The materializing loader rejects it outright.
-  Result<IndexSnapshot> snap = LoadSnapshot(path);
-  EXPECT_FALSE(snap.ok());
-  EXPECT_EQ(snap.status().code(), StatusCode::kCorruption);
-
-#ifdef NDEBUG
   // The paged dictionary refuses the page at decode time: projections
   // come back empty instead of reading out of bounds.
   Result<BlasSystem> paged = BlasSystem::OpenPaged(path);
@@ -410,26 +373,272 @@ TEST_F(PagedCorruptionTest, CorruptValuePagePayloadIsContained) {
   Result<QueryResult> r = paged->Execute("//t1", options);
   ASSERT_TRUE(r.ok());
   for (const Match& m : r->matches) EXPECT_TRUE(m.content.empty());
-#endif
+}
+
+// ------------------------------------------ oversized dictionary values ---
+
+/// `size` deterministic letters, different for each `seed`, so a misplaced
+/// overflow page or an off-by-one split shows up as a content mismatch.
+std::string Filler(size_t size, uint32_t seed) {
+  std::string out(size, 'a');
+  uint32_t x = seed * 2654435761u + 1;
+  for (char& c : out) {
+    x = x * 1103515245u + 12345u;
+    c = static_cast<char>('a' + (x >> 16) % 26);
+  }
+  return out;
+}
+
+/// The largest packed value, one byte more, three pages' worth and
+/// 100 KiB.
+constexpr size_t kOversizedLengths[] = {kMaxPackedValue, kMaxPackedValue + 1,
+                                        3 * kPageSize, 100 * 1024};
+
+/// Four <big> elements whose attribute and text values take every length
+/// above (adjacent to each other in id order), between small values.
+struct OversizedDoc {
+  std::string xml;
+  std::vector<std::string> attrs;  // k of each <big>, in document order
+  std::vector<std::string> texts;  // text of each <big>
+};
+
+OversizedDoc MakeOversizedDoc() {
+  OversizedDoc doc;
+  doc.xml = "<root><small k=\"s0\">v0</small>";
+  for (uint32_t i = 0; i < 4; ++i) {
+    doc.attrs.push_back(Filler(kOversizedLengths[i], 10 + i));
+    doc.texts.push_back(Filler(kOversizedLengths[(i + 1) % 4], 20 + i));
+    doc.xml += "<big k=\"" + doc.attrs.back() + "\">" + doc.texts.back() +
+               "</big>";
+    if (i == 1) doc.xml += "<small k=\"s1\">v1</small>";
+  }
+  doc.xml += "<small k=\"s2\">v2</small></root>";
+  return doc;
+}
+
+StorageOptions OneFrame(StorageBackend backend) {
+  StorageOptions storage;
+  storage.frames_per_shard = 1;
+  storage.shards = 1;
+  storage.backend = backend;
+  return storage;
+}
+
+TEST(PagedStorageTest, OversizedValuesRoundTripOnEveryBackend) {
+  const OversizedDoc doc = MakeOversizedDoc();
+  BlasSystem original = MustBuild(doc.xml);
+  std::string path = TempPath("oversized.idx2");
+  ASSERT_TRUE(original.SavePagedIndex(path).ok());
+
+  // Equality predicates on the 100 KiB attribute and text values go
+  // through the paged Find (a binary search over the permutation pages).
+  const std::string attr_eq = "//big[@k=\"" + doc.attrs[3] + "\"]";
+  const std::string text_eq = "//big=\"" + doc.texts[2] + "\"";
+  const std::string queries[] = {"//big",  "//big/@k", "/root/big[@k]",
+                                 "//small", "/root/*",  "//*",
+                                 attr_eq,   text_eq,    attr_eq + "/@k"};
+
+  for (StorageBackend backend :
+       {StorageBackend::kPread, StorageBackend::kMmap}) {
+    Result<BlasSystem> paged = BlasSystem::OpenPaged(path, OneFrame(backend));
+    ASSERT_TRUE(paged.ok()) << paged.status();
+    const char* name = StorageBackendName(backend);
+    ASSERT_EQ(paged->dict().size(), original.dict().size());
+    for (uint32_t id = 0; id < original.dict().size(); ++id) {
+      EXPECT_EQ(paged->dict().Get(id), original.dict().Get(id))
+          << name << " value " << id;
+    }
+    for (const std::string& value : {doc.attrs[3], doc.texts[2]}) {
+      EXPECT_EQ(paged->dict().Find(value), original.dict().Find(value))
+          << name;
+      EXPECT_TRUE(paged->dict().Find(value).has_value()) << name;
+    }
+
+    for (const std::string& q : queries) {
+      for (Translator t : {Translator::kDLabel, Translator::kSplit,
+                           Translator::kPushUp, Translator::kUnfold}) {
+        for (Engine e : {Engine::kRelational, Engine::kTwig}) {
+          Result<QueryResult> a = original.Execute(q, t, e);
+          Result<QueryResult> b = paged->Execute(q, t, e);
+          if (!a.ok()) {
+            EXPECT_EQ(a.status().code(), b.status().code()) << q.size();
+            continue;
+          }
+          ASSERT_TRUE(b.ok()) << b.status();
+          EXPECT_EQ(a->starts, b->starts)
+              << name << " [" << TranslatorName(t) << "/" << EngineName(e)
+              << "] query of " << q.size() << " bytes";
+        }
+      }
+    }
+    // The predicates select what they should, not merely the same nothing.
+    Result<QueryResult> by_attr = paged->Execute(attr_eq, QueryOptions{});
+    ASSERT_TRUE(by_attr.ok()) << by_attr.status();
+    EXPECT_EQ(by_attr->starts.size(), 1u) << name;
+    QueryOptions value_options;
+    value_options.projection = Projection::kValue;
+    Result<QueryResult> by_text = paged->Execute(text_eq, value_options);
+    ASSERT_TRUE(by_text.ok()) << by_text.status();
+    ASSERT_EQ(by_text->matches.size(), 1u) << name;
+    EXPECT_TRUE(by_text->matches[0].content == doc.texts[2]) << name;
+
+    for (Projection projection : {Projection::kValue, Projection::kSubtree}) {
+      for (const char* q : {"//big", "//big/@k", "/root", "//small"}) {
+        QueryOptions options;
+        options.projection = projection;
+        Result<QueryResult> a = original.Execute(q, options);
+        Result<QueryResult> b = paged->Execute(q, options);
+        ASSERT_TRUE(a.ok()) << a.status();
+        ASSERT_TRUE(b.ok()) << b.status();
+        EXPECT_EQ(a->starts, b->starts) << q;
+        ASSERT_EQ(a->matches.size(), b->matches.size()) << q;
+        for (size_t i = 0; i < a->matches.size(); ++i) {
+          EXPECT_TRUE(a->matches[i].content == b->matches[i].content)
+              << name << " " << ProjectionName(projection) << " " << q
+              << " match " << i;
+        }
+      }
+    }
+    QueryOptions options;
+    options.projection = Projection::kValue;
+    Result<QueryResult> texts = paged->Execute("//big", options);
+    Result<QueryResult> attrs = paged->Execute("//big/@k", options);
+    ASSERT_TRUE(texts.ok() && attrs.ok());
+    ASSERT_EQ(texts->matches.size(), 4u);
+    ASSERT_EQ(attrs->matches.size(), 4u);
+    for (size_t i = 0; i < 4; ++i) {
+      EXPECT_TRUE(texts->matches[i].content == doc.texts[i]) << name << i;
+      EXPECT_TRUE(attrs->matches[i].content == doc.attrs[i]) << name << i;
+    }
+  }
+}
+
+/// Byte offsets of the overflow metadata: the overflow page count follows
+/// the tail directory in the header; an overflow reference page holds
+/// {count = 0, first_id, first_page, page_count, length}. The first
+/// reference's run starts the overflow segment.
+constexpr size_t kOffValuePageCount = 212;
+constexpr size_t kOffOverflowPages = 296;
+constexpr size_t kOffRunFirstPage = 8;
+constexpr size_t kOffRunPageCount = 12;
+constexpr size_t kOffRunLength = 16;
+
+class OverflowCorruptionTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    original_ = std::make_unique<BlasSystem>(MustBuild(MakeOversizedDoc().xml));
+    path_ = TempPath("overflow_base.idx2");
+    ASSERT_TRUE(original_->SavePagedIndex(path_).ok());
+    bytes_ = ReadFile(path_);
+    overflow_pages_ = ReadU32At(bytes_, kOffOverflowPages);
+    ASSERT_GT(overflow_pages_, 0u);
+    // The first overflow reference page, and the value id it holds.
+    const uint32_t first_value_page = ReadU32At(bytes_, kOffFirstValuePage);
+    const uint32_t value_pages = ReadU32At(bytes_, kOffValuePageCount);
+    for (uint32_t i = 0; i < value_pages; ++i) {
+      const size_t off = (1 + size_t{first_value_page} + i) * kPageSize;
+      if (ReadU32At(bytes_, off) == 0) {
+        ref_off_ = off;
+        ref_id_ = ReadU32At(bytes_, off + 4);
+        break;
+      }
+    }
+    ASSERT_NE(ref_off_, 0u) << "no overflow reference page";
+  }
+
+  /// Opens `bytes` at one frame per shard and checks every value: the
+  /// one behind the corrupted reference decodes empty, all others intact.
+  void ExpectOnlyReferenceEmptied(const std::string& bytes,
+                                  const std::string& what) {
+    std::string path = TempPath("overflow_case.idx2");
+    WriteFile(path, bytes);
+    for (StorageBackend backend :
+         {StorageBackend::kPread, StorageBackend::kMmap}) {
+      Result<BlasSystem> paged =
+          BlasSystem::OpenPaged(path, OneFrame(backend));
+      ASSERT_TRUE(paged.ok()) << what << ": " << paged.status();
+      for (uint32_t id = 0; id < original_->dict().size(); ++id) {
+        const std::string& got = paged->dict().Get(id);
+        if (id == ref_id_) {
+          EXPECT_TRUE(got.empty()) << what;
+        } else {
+          EXPECT_TRUE(got == original_->dict().Get(id)) << what << " " << id;
+        }
+      }
+      QueryOptions options;
+      options.projection = Projection::kSubtree;
+      EXPECT_TRUE(paged->Execute("/root", options).ok()) << what;
+    }
+  }
+
+  std::unique_ptr<BlasSystem> original_;
+  std::string path_;
+  std::string bytes_;
+  uint32_t overflow_pages_ = 0;
+  size_t ref_off_ = 0;
+  uint32_t ref_id_ = 0;
+};
+
+TEST_F(OverflowCorruptionTest, RunOutsideTheOverflowSegmentIsContained) {
+  std::string bad = bytes_;
+  PatchU32(&bad, ref_off_ + kOffRunFirstPage, overflow_pages_);
+  ExpectOnlyReferenceEmptied(bad, "run starts past the segment");
+  bad = bytes_;
+  PatchU32(&bad, ref_off_ + kOffRunFirstPage, 0xFFFFFFFFu);  // wraps u32
+  ExpectOnlyReferenceEmptied(bad, "run start near 2^32");
+  bad = bytes_;
+  PatchU32(&bad, ref_off_ + kOffRunPageCount, overflow_pages_ + 1);
+  ExpectOnlyReferenceEmptied(bad, "run longer than the segment");
+  bad = bytes_;
+  PatchU32(&bad, ref_off_ + kOffRunPageCount, 0);
+  ExpectOnlyReferenceEmptied(bad, "empty run");
+  // A run aimed at pages of another value's run: in bounds, but each
+  // page names its owner, so two references never share bytes.
+  const uint32_t run_pages = ReadU32At(bytes_, ref_off_ + kOffRunPageCount);
+  ASSERT_LT(run_pages, overflow_pages_);
+  bad = bytes_;
+  PatchU32(&bad, ref_off_ + kOffRunFirstPage, run_pages);
+  ExpectOnlyReferenceEmptied(bad, "run inside another value's run");
+}
+
+TEST_F(OverflowCorruptionTest, LengthBeyondTheRunIsContained) {
+  const uint32_t run_pages = ReadU32At(bytes_, ref_off_ + kOffRunPageCount);
+  std::string bad = bytes_;
+  PatchU64(&bad, ref_off_ + kOffRunLength,
+           uint64_t{run_pages} * kOverflowPayload + 1);
+  ExpectOnlyReferenceEmptied(bad, "length one byte past the run");
+  bad = bytes_;
+  PatchU64(&bad, ref_off_ + kOffRunLength, uint64_t{1} << 62);
+  ExpectOnlyReferenceEmptied(bad, "length near 2^62");
+}
+
+TEST_F(OverflowCorruptionTest, OverflowPageCountBreakingTheTilingRejected) {
+  for (uint32_t pages : {overflow_pages_ + 1, overflow_pages_ - 1, 0u,
+                         0xFFFFFFFFu}) {
+    std::string bad = bytes_;
+    PatchU32(&bad, kOffOverflowPages, pages);
+    std::string path = TempPath("overflow_tiling.idx2");
+    WriteFile(path, bad);
+    Result<BlasSystem> paged = BlasSystem::OpenPaged(path);
+    ASSERT_FALSE(paged.ok()) << pages;
+    EXPECT_EQ(paged.status().code(), StatusCode::kCorruption) << pages;
+  }
+  // The unpatched snapshot opens.
+  EXPECT_TRUE(BlasSystem::OpenPaged(path_).ok());
 }
 
 // ------------------------------------------------------- atomic saves ---
 
 TEST(PagedStorageTest, SavesAreAtomicReplacements) {
   BlasSystem sys = BuildRandom(31);
-  std::string p1 = TempPath("atomic.idx");
   std::string p2 = TempPath("atomic.idx2");
-  ASSERT_TRUE(sys.SaveIndex(p1).ok());
   ASSERT_TRUE(sys.SavePagedIndex(p2).ok());
   // No temp litter once the save committed.
-  EXPECT_FALSE(std::ifstream(p1 + ".tmp").good());
   EXPECT_FALSE(std::ifstream(p2 + ".tmp").good());
 
   // Overwriting an existing snapshot goes through the same tmp + rename;
   // the result is the fresh file, not a torn mix.
-  ASSERT_TRUE(sys.SaveIndex(p1).ok());
   ASSERT_TRUE(sys.SavePagedIndex(p2).ok());
-  EXPECT_TRUE(BlasSystem::FromIndexFile(p1).ok());
   EXPECT_TRUE(BlasSystem::OpenPaged(p2).ok());
 
   // An unwritable target fails up front and leaves the old file intact.

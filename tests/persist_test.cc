@@ -15,175 +15,41 @@ std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
 }
 
-TEST(PersistTest, SnapshotRoundTrip) {
-  IndexSnapshot snap;
-  snap.tags = {"alpha", "beta", "@id"};
-  snap.max_depth = 9;
-  NodeRecord rec;
-  rec.plabel = (static_cast<u128>(0x1234) << 64) | 0x5678;  // >64-bit label
-  rec.start = 3;
-  rec.end = 9;
-  rec.tag = 2;
-  rec.level = 4;
-  rec.data = 1;
-  snap.records = {rec};
-  snap.values = {"hello", "world"};
-
-  std::string path = TempPath("roundtrip.idx");
-  ASSERT_TRUE(SaveSnapshot(snap, path).ok());
-  Result<IndexSnapshot> loaded = LoadSnapshot(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->tags, snap.tags);
-  EXPECT_EQ(loaded->max_depth, 9);
-  ASSERT_EQ(loaded->records.size(), 1u);
-  EXPECT_EQ(loaded->records[0].plabel, rec.plabel);
-  EXPECT_EQ(loaded->records[0].start, rec.start);
-  EXPECT_EQ(loaded->records[0].end, rec.end);
-  EXPECT_EQ(loaded->records[0].tag, rec.tag);
-  EXPECT_EQ(loaded->records[0].level, rec.level);
-  EXPECT_EQ(loaded->records[0].data, rec.data);
-  EXPECT_EQ(loaded->values, snap.values);
-}
-
 TEST(PersistTest, MissingFile) {
-  EXPECT_EQ(LoadSnapshot("/nonexistent/nope.idx").status().code(),
+  EXPECT_EQ(BlasSystem::OpenPaged("/nonexistent/nope.idx2").status().code(),
             StatusCode::kNotFound);
 }
 
 TEST(PersistTest, BadMagicRejected) {
-  std::string path = TempPath("badmagic.idx");
+  std::string path = TempPath("badmagic.idx2");
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
     std::fputs("NOTANIDX-and-some-garbage", f);
     std::fclose(f);
   }
-  EXPECT_EQ(LoadSnapshot(path).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(BlasSystem::OpenPaged(path).status().code(),
+            StatusCode::kCorruption);
 }
 
 TEST(PersistTest, TruncatedFileRejected) {
   // Write a valid index, then truncate it progressively.
   BlasSystem sys = MustBuild("<a><b>x</b><c k=\"v\"/></a>");
-  std::string path = TempPath("trunc.idx");
-  ASSERT_TRUE(sys.SaveIndex(path).ok());
+  std::string path = TempPath("trunc.idx2");
+  ASSERT_TRUE(sys.SavePagedIndex(path).ok());
 
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
   for (size_t cut : {bytes.size() - 1, bytes.size() / 2, size_t{9}}) {
-    std::string cut_path = TempPath("trunc_cut.idx");
+    std::string cut_path = TempPath("trunc_cut.idx2");
     std::ofstream out(cut_path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(cut));
     out.close();
-    EXPECT_EQ(LoadSnapshot(cut_path).status().code(),
+    EXPECT_EQ(BlasSystem::OpenPaged(cut_path).status().code(),
               StatusCode::kCorruption)
         << "cut at " << cut;
   }
-}
-
-// -------------------------- corrupt / hostile header preflight cases ---
-
-void AppendU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void WriteBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-std::string ValidHeaderNoTags() {
-  std::string bytes = "BLASIDX1";
-  AppendU32(&bytes, 0);  // no tags
-  AppendU32(&bytes, 3);  // depth
-  return bytes;
-}
-
-TEST(PersistTest, OverstatedRecordCountRejectedBeforeAllocation) {
-  // A tiny file whose header claims ~2^39 records: the preflight against
-  // the actual file size must fail with Corruption instead of attempting
-  // a multi-TB resize().
-  std::string bytes = ValidHeaderNoTags();
-  AppendU64(&bytes, uint64_t{1} << 39);
-  std::string path = TempPath("huge_records.idx");
-  WriteBytes(path, bytes);
-  Result<IndexSnapshot> r = LoadSnapshot(path);
-  EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << r.status();
-}
-
-TEST(PersistTest, OverstatedValueCountRejectedBeforeAllocation) {
-  std::string bytes = ValidHeaderNoTags();
-  AppendU64(&bytes, 0);                    // no records
-  AppendU64(&bytes, uint64_t{1} << 40);    // absurd value count
-  std::string path = TempPath("huge_values.idx");
-  WriteBytes(path, bytes);
-  Result<IndexSnapshot> r = LoadSnapshot(path);
-  EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << r.status();
-}
-
-TEST(PersistTest, OverstatedTagCountRejected) {
-  std::string bytes = "BLASIDX1";
-  AppendU32(&bytes, 0xFFFFFF00u);  // tag count far beyond the file size
-  std::string path = TempPath("huge_tags.idx");
-  WriteBytes(path, bytes);
-  Result<IndexSnapshot> r = LoadSnapshot(path);
-  EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << r.status();
-}
-
-TEST(PersistTest, OverstatedStringLengthRejected) {
-  // One tag whose length prefix points far past the end of the file.
-  std::string bytes = "BLASIDX1";
-  AppendU32(&bytes, 1);            // one tag
-  AppendU32(&bytes, 0x40000000u);  // claimed 1 GiB name, nothing follows
-  bytes += "ab";
-  std::string path = TempPath("huge_string.idx");
-  WriteBytes(path, bytes);
-  Result<IndexSnapshot> r = LoadSnapshot(path);
-  EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << r.status();
-}
-
-TEST(PersistTest, RecordCountJustOverActualPayloadRejected) {
-  // Off-by-one: the header claims one more record than the bytes hold.
-  BlasSystem sys = MustBuild("<a><b>x</b></a>");
-  std::string path = TempPath("offbyone.idx");
-  ASSERT_TRUE(sys.SaveIndex(path).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
-  // Locate the record-count u64: magic + tagcount + tags + depth.
-  size_t pos = 8 + 4;
-  uint32_t num_tags = 0;
-  for (int i = 3; i >= 0; --i) {
-    num_tags = (num_tags << 8) | static_cast<uint8_t>(bytes[8 + i]);
-  }
-  for (uint32_t t = 0; t < num_tags; ++t) {
-    uint32_t len = 0;
-    for (int i = 3; i >= 0; --i) {
-      len = (len << 8) | static_cast<uint8_t>(bytes[pos + i]);
-    }
-    pos += 4 + len;
-  }
-  pos += 4;  // depth
-  uint64_t num_records = 0;
-  for (int i = 7; i >= 0; --i) {
-    num_records = (num_records << 8) | static_cast<uint8_t>(bytes[pos + i]);
-  }
-  std::string patched = bytes;
-  uint64_t bumped = num_records + 1;
-  for (int i = 0; i < 8; ++i) {
-    patched[pos + i] = static_cast<char>((bumped >> (8 * i)) & 0xFF);
-  }
-  std::string bad_path = TempPath("offbyone_bad.idx");
-  WriteBytes(bad_path, patched);
-  Result<IndexSnapshot> r = LoadSnapshot(bad_path);
-  EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << r.status();
-  // The unpatched original still loads.
-  EXPECT_TRUE(LoadSnapshot(path).ok());
 }
 
 TEST(PersistTest, SystemRoundTripAnswersQueriesIdentically) {
@@ -191,10 +57,10 @@ TEST(PersistTest, SystemRoundTripAnswersQueriesIdentically) {
       "<site><item id=\"1\"><name>x</name><desc><par><li>t</li></par>"
       "</desc></item><item id=\"2\"><name>y</name></item>"
       "<people><person><name>x</name></person></people></site>");
-  std::string path = TempPath("system.idx");
-  ASSERT_TRUE(original.SaveIndex(path).ok());
+  std::string path = TempPath("system.idx2");
+  ASSERT_TRUE(original.SavePagedIndex(path).ok());
 
-  Result<BlasSystem> reopened = BlasSystem::FromIndexFile(path);
+  Result<BlasSystem> reopened = BlasSystem::OpenPaged(path);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
 
   // Same characteristics.
@@ -207,7 +73,7 @@ TEST(PersistTest, SystemRoundTripAnswersQueriesIdentically) {
   EXPECT_EQ(a.distinct_values, b.distinct_values);
 
   // Same answers under every translator/engine (incl. Unfold, which
-  // depends on the rebuilt path summary).
+  // depends on the replayed path summary).
   for (const char* q : {"//item/name", "/site//li", "//item[@id=\"2\"]/name",
                         "//name=\"x\"", "/site/*/name"}) {
     for (Translator t : {Translator::kDLabel, Translator::kSplit,
@@ -235,20 +101,27 @@ TEST(PersistTest, GeneratedCorpusRoundTrip) {
       },
       opts);
   ASSERT_TRUE(sys.ok());
-  std::string path = TempPath("auction.idx");
-  ASSERT_TRUE(sys->SaveIndex(path).ok());
-  Result<BlasSystem> reopened = BlasSystem::FromIndexFile(path);
+  std::string path = TempPath("auction.idx2");
+  ASSERT_TRUE(sys->SavePagedIndex(path).ok());
+  Result<BlasSystem> reopened = BlasSystem::OpenPaged(path);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_EQ(reopened->doc_stats().nodes, sys->doc_stats().nodes);
-  Result<QueryResult> r = reopened->Execute(
-      "/site/regions/asia/item[shipping]/description", Translator::kUnfold,
-      Engine::kRelational);
-  ASSERT_TRUE(r.ok());
-  Result<QueryResult> orig = sys->Execute(
-      "/site/regions/asia/item[shipping]/description", Translator::kUnfold,
-      Engine::kRelational);
-  ASSERT_TRUE(orig.ok());
-  EXPECT_EQ(r->starts, orig->starts);
+  for (const char* q : {"/site/regions/asia/item[shipping]/description",
+                        "//item/name", "/site/people/person[address]/name"}) {
+    for (Translator t : {Translator::kDLabel, Translator::kSplit,
+                         Translator::kPushUp, Translator::kUnfold}) {
+      for (Engine e : {Engine::kRelational, Engine::kTwig}) {
+        Result<QueryResult> orig = sys->Execute(q, t, e);
+        Result<QueryResult> r = reopened->Execute(q, t, e);
+        if (!orig.ok()) {
+          EXPECT_EQ(orig.status().code(), r.status().code()) << q;
+          continue;
+        }
+        ASSERT_TRUE(r.ok()) << q << " " << r.status();
+        EXPECT_EQ(r->starts, orig->starts) << q << " " << TranslatorName(t);
+      }
+    }
+  }
 }
 
 }  // namespace
